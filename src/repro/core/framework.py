@@ -16,19 +16,19 @@ ledger so any participant can audit the full decision history.
 The pipeline itself — the stage sequence, its tracing, timing,
 durability, and batch amortizations — lives in
 :mod:`repro.core.pipeline`; :class:`PReVer` holds the configuration
-(databases, engine, ledger, policy, durability) and delegates both
-submission paths to one shared :class:`~repro.core.pipeline.Pipeline`:
-
-* :meth:`PReVer.submit` — one update, anchored immediately;
-* :meth:`PReVer.submit_many` — a batch: constraint checks are routed
-  through a table index and incremental aggregate cache, and the whole
-  batch is anchored with one Merkle extension
-  (:meth:`~repro.ledger.central.CentralLedger.append_batch`), while
-  preserving per-entry sequence numbers, digests and inclusion proofs.
+(databases, engine, ledger, policy, durability) and has one way in,
+:meth:`PReVer.submit_many`: constraint checks are routed through a
+table index and incremental aggregate cache, and the whole batch is
+anchored with one Merkle extension
+(:meth:`~repro.ledger.central.CentralLedger.append_batch`), while
+preserving per-entry sequence numbers, digests and inclusion proofs.
+A single update is a batch of one (:meth:`PReVer.submit`).
 
 To scale past one instance, see
 :class:`repro.core.sharded.ShardedPReVer`, which partitions tables
-across several ``PReVer`` shards behind the same submit API.
+across several ``PReVer`` shards behind the same submit API; a
+``PReVer`` is itself the in-process shard surface (:meth:`digest`,
+:meth:`counters`, :meth:`metrics_snapshot`, :meth:`telemetry_delta`).
 """
 
 import os
@@ -187,12 +187,11 @@ class PReVer:
         # The digest captured by the most recent durable anchor commit;
         # /readyz checks the live ledger still extends it.
         self._last_anchored_digest = None
-        # The staged update path (repro.core.pipeline): both submit
-        # APIs below are thin drivers over this one stage sequence.
+        # Incremental telemetry capture, created on first
+        # telemetry_delta() call.
+        self._telemetry_tracker = None
+        # The staged update path (repro.core.pipeline).
         self.pipeline = Pipeline(self)
-        # Overlap scheduler (repro.core.pipelined), created on first
-        # submit_pipelined() so plain frameworks stay thread-free.
-        self._pipelined = None
 
     # -- step (0): constraint registration -------------------------------
 
@@ -258,14 +257,15 @@ class PReVer:
     # -- steps (1)-(3): the update pipeline ------------------------------------
 
     def submit(self, update: Update) -> UpdateResult:
-        """Run one update through the full Figure-2 pipeline."""
-        return self.pipeline.run_one(update)
+        """Run one update through the full Figure-2 pipeline: a batch
+        of one."""
+        return self.submit_many([update])[0]
 
     def submit_many(self, updates: Sequence[Update],
                     executor=None) -> List[UpdateResult]:
         """Run a batch of updates through the pipeline, anchoring once.
 
-        Decision-equivalent to calling :meth:`submit` per update in
+        Decision-equivalent to submitting the updates one at a time in
         order — same accept/reject outcomes, same applied rows, same
         ledger sequence numbers, digests and inclusion proofs — but
         with three amortizations: the constraint routing index replaces
@@ -285,25 +285,6 @@ class PReVer:
             return []
         executor = executor if executor is not None else self.executor
         return self.pipeline.run_batch(updates, executor)
-
-    def submit_pipelined(self, batches: Sequence[Sequence[Update]],
-                         executor=None) -> List[UpdateResult]:
-        """Run a sequence of batches with verify↔anchor overlap.
-
-        Semantically ``[*submit_many(b) for b in batches]`` — same
-        decisions, ledger roots, and WAL bytes — but batch N+1's
-        crypto-heavy prep (batch Schnorr auth, engine contribution
-        encryption) overlaps batch N's group-commit fsync in a
-        background thread, hiding durability latency behind
-        verification work.  See :mod:`repro.core.pipelined` for the
-        schedule and its safety argument.  All commits are drained
-        before returning.
-        """
-        if self._pipelined is None:
-            from repro.core.pipelined import PipelinedScheduler
-
-            self._pipelined = PipelinedScheduler(self)
-        return self._pipelined.submit_batches(batches, executor=executor)
 
     def _apply(self, update: Update) -> None:
         database = self._target_database(update)
@@ -401,11 +382,8 @@ class PReVer:
         return thread
 
     def close(self) -> None:
-        """Drain any in-flight pipelined commit, then flush and fsync
-        the WAL; call before discarding the instance (a no-op with
-        durability off and no pipelined submissions)."""
-        if self._pipelined is not None:
-            self._pipelined.close()
+        """Flush and fsync the WAL; call before discarding the instance
+        (a no-op with durability off)."""
         if self._wal is not None:
             self._wal.close()
         if self.profiler is not None:
@@ -602,6 +580,35 @@ class PReVer:
         }
 
     # -- reporting ---------------------------------------------------------------
+
+    def digest(self):
+        """The ledger's current digest."""
+        return self.ledger.digest()
+
+    def counters(self) -> dict:
+        """Submitted/applied/ledger-size counters."""
+        return {
+            "submitted": self._submitted_count,
+            "applied": self._applied_count,
+            "ledger_size": len(self.ledger),
+        }
+
+    def metrics_snapshot(self) -> dict:
+        """The metrics registry's snapshot."""
+        return self.metrics.snapshot()
+
+    def telemetry_delta(self):
+        """Incremental :class:`~repro.obs.aggregate.TelemetryDelta`:
+        everything recorded since the previous call, the full history
+        on the first (so a coordinator that starts scraping late still
+        sees it all)."""
+        if self._telemetry_tracker is None:
+            from repro.obs.aggregate import DeltaTracker
+
+            self._telemetry_tracker = DeltaTracker(
+                self.metrics, tracer=self.tracer, origin=True
+            )
+        return self._telemetry_tracker.capture()
 
     def acceptance_rate(self) -> float:
         """Applied / submitted over the whole run.  Computed from

@@ -1,11 +1,10 @@
 """The Figure-2 update path as explicit, composable stages.
 
-The paper's pipeline — authenticate → verify → apply → anchor — used
-to live inline in :class:`~repro.core.framework.PReVer`'s ``submit`` /
-``submit_many`` bodies, which duplicated and interleaved auth, verify,
-apply, anchor, durability, and tracing logic.  This module decomposes
-it into six stage objects with a uniform ``run_one`` / ``run_batch``
-interface:
+The paper's pipeline — authenticate → verify → apply → anchor — as six
+stage objects with a uniform ``run_one`` / ``run_batch`` interface.
+There is one way in: a single update is a batch of one, so
+:meth:`PReVer.submit <repro.core.framework.PReVer.submit>` is
+``submit_many([update])[0]``.
 
 ``AuthStage``
     provenance (Schnorr signature) checks; ``run_batch`` is the
@@ -24,16 +23,16 @@ interface:
     incorporation into the target database; apply failures become
     anchored rejections.
 ``AnchorStage``
-    decision payloads onto the append-only ledger — one Merkle append
-    per update (``run_one``) or one extension per batch (``run_batch``).
+    decision payloads onto the append-only ledger — one Merkle
+    extension per batch (``run_batch``), then a per-update close-out
+    (``run_one``) that stamps sequence numbers and closes spans.
 
-:class:`Pipeline` owns the stage sequence and the two drivers the
-framework delegates to.  The decomposition is deliberately invisible:
-decisions, ledger digests, inclusion proofs, WAL bytes, timer names,
-and span shapes are identical to the pre-refactor monolith (pinned by
-``tests/test_pipeline_stages.py``), and the batch path preserves the
-per-update verify→log→apply interleaving that stateful aggregate
-caches depend on — only auth and anchoring are batch-amortized.
+:class:`Pipeline` owns the stage sequence and the batch driver the
+framework delegates to.  Decisions, ledger digests, inclusion proofs
+and WAL bytes are pinned by ``tests/test_pipeline_stages.py``, and the
+batch walk preserves the per-update verify→log→apply interleaving that
+stateful aggregate caches depend on — only auth and anchoring are
+batch-amortized.
 """
 
 from dataclasses import dataclass, field
@@ -94,8 +93,7 @@ class Stage:
     ``run_batch`` is the batch-amortized variant and defaults to a
     pass (stages without a batch precomputation do their work per
     update inside the driver's walk).  Stages hold no per-update
-    state — everything flows through the context — so one stage
-    sequence serves both submission paths.
+    state — everything flows through the context.
     """
 
     name = "stage"
@@ -413,96 +411,20 @@ class AnchorStage(Stage):
         super().__init__(framework)
         self.durability = durability
 
-    def run_one(self, ctx: UpdateContext) -> None:
-        """Anchor one decision immediately (the ``submit`` path).
-
-        The decision payload is canonically encoded exactly once; the
-        Merkle leaf and the WAL anchor frame both splice that one
-        encoding (encode-once, byte-identical to re-encoding).
-        """
-        fw = self.framework
-        start = fw._wall.now()
-        payload = fw._anchor_payload(ctx.update, ctx.outcome, trace=ctx.trace)
-        encoded = encode_canonical(payload)
-        entry = fw.ledger.append(payload, encoded_payload=encoded)
-        anchor_end = fw._wall.now()
-        ctx.timings["anchor"] = anchor_end - start
+    def run_one(self, ctx: UpdateContext, entry, digest, share: float,
+                start: float, end: float) -> None:
+        """Close out one anchored context: its ledger sequence, its
+        share of the batch's anchor time and, on traced runs, its
+        anchor span and ``ledger_anchor`` event."""
+        ctx.timings["anchor"] = share
         ctx.sequence = entry.sequence
-        if fw._wal is not None:
-            self.durability.commit([payload], encoded_payloads=[encoded])
-        if ctx.trace is not None:
-            self._close_span(
-                ctx, entry, fw.ledger.digest(),
-                start=start, end=anchor_end, batched=False,
-            )
-
-    def run_batch(self, ctxs: Sequence[UpdateContext], executor,
-                  defer_commit: bool = False):
-        """Amortized anchoring: one Merkle extension for the whole
-        batch (halted contexts included — rejections are decisions
-        too), one anchor marker, identical per-entry sequence numbers
-        and inclusion proofs to the one-by-one path.
-
-        With ``defer_commit=True`` the durability commit (anchor
-        marker + group fsync + maybe snapshot) is *not* run; instead a
-        zero-argument closure performing it is returned, for the
-        pipelined scheduler to overlap with the next batch's verify
-        work.  The ledger digest the marker embeds is captured eagerly
-        here — while this batch's entries are still the frontier — so
-        the WAL bytes are identical to the immediate-commit path no
-        matter when the closure runs.  Returns ``None`` when the
-        commit ran (or durability is off).
-        """
-        fw = self.framework
-        tracing = fw.tracer.enabled
-        start = fw._wall.now()
-        payloads = [fw._anchor_payload(ctx.update, ctx.outcome, trace=ctx.trace)
-                    for ctx in ctxs]
-        # Encode-once: each decision payload is canonically serialized
-        # exactly here; the Merkle leaves and the WAL anchor frame both
-        # splice these fragments (byte-identical to re-encoding).
-        encoded = [encode_canonical(payload) for payload in payloads]
-        entries = fw.ledger.append_batch(payloads, executor=executor,
-                                         encoded_payloads=encoded)
-        anchor_end = fw._wall.now()
-        anchor_elapsed = anchor_end - start
-        fw.metrics.timer("pipeline.anchor_batch").record(anchor_elapsed)
-        anchor_share = anchor_elapsed / len(ctxs)
-        batch_digest = fw.ledger.digest() if tracing else None
-        deferred = None
-        if fw._wal is not None:
-            if defer_commit:
-                digest = (batch_digest if batch_digest is not None
-                          else fw.ledger.digest())
-
-                def deferred(payloads=payloads, digest=digest,
-                             encoded=encoded):
-                    """Commit this batch's anchor with its frozen digest."""
-                    self.durability.commit(payloads, digest=digest,
-                                           encoded_payloads=encoded)
-            else:
-                self.durability.commit(payloads, digest=batch_digest,
-                                       encoded_payloads=encoded)
-        for ctx, entry in zip(ctxs, entries):
-            ctx.timings["anchor"] = anchor_share
-            ctx.sequence = entry.sequence
-            if ctx.trace is not None:
-                self._close_span(
-                    ctx, entry, batch_digest,
-                    start=start, end=anchor_end, batched=True,
-                )
-        return deferred
-
-    def _close_span(self, ctx: UpdateContext, entry, digest,
-                    start: float, end: float, batched: bool) -> None:
-        fw = self.framework
         trace = ctx.trace
+        if trace is None:
+            return
         span = trace.child("anchor", start_time=start)
         span.set_attribute("sequence", entry.sequence)
-        if batched:
-            span.set_attribute("batched", True)
         span.end(end)
-        fw.tracer.event(
+        self.framework.tracer.event(
             "ledger_anchor",
             timestamp=end,
             trace_id=trace.trace_id,
@@ -515,15 +437,43 @@ class AnchorStage(Stage):
         trace.set_status("ok" if ctx.applied else "error")
         trace.end(end)
 
+    def run_batch(self, ctxs: Sequence[UpdateContext], executor) -> None:
+        """Amortized anchoring: one Merkle extension for the whole
+        batch (halted contexts included — rejections are decisions
+        too) and one anchor marker, with per-entry sequence numbers
+        and inclusion proofs identical to appending one by one.
+
+        Each decision payload is canonically encoded exactly once; the
+        Merkle leaves and the WAL anchor frame both splice that one
+        encoding (encode-once, byte-identical to re-encoding).
+        """
+        fw = self.framework
+        start = fw._wall.now()
+        payloads = [fw._anchor_payload(ctx.update, ctx.outcome, trace=ctx.trace)
+                    for ctx in ctxs]
+        encoded = [encode_canonical(payload) for payload in payloads]
+        entries = fw.ledger.append_batch(payloads, executor=executor,
+                                         encoded_payloads=encoded)
+        anchor_end = fw._wall.now()
+        anchor_elapsed = anchor_end - start
+        fw.metrics.timer("pipeline.anchor_batch").record(anchor_elapsed)
+        anchor_share = anchor_elapsed / len(ctxs)
+        batch_digest = fw.ledger.digest() if fw.tracer.enabled else None
+        if fw._wal is not None:
+            self.durability.commit(payloads, digest=batch_digest,
+                                   encoded_payloads=encoded)
+        for ctx, entry in zip(ctxs, entries):
+            self.run_one(ctx, entry, batch_digest, anchor_share,
+                         start, anchor_end)
+
 
 class Pipeline:
-    """The shared stage sequence and its two drivers.
+    """The stage sequence and its batch driver.
 
-    ``run_one`` drives a single update through every stage and anchors
-    immediately; ``run_batch`` arms the batch-amortized stages (batch
-    auth, engine batch hooks), walks each update through the same
-    per-update sequence — preserving the verify→log→apply interleaving
-    stateful aggregate caches require — and anchors once.
+    ``run_batch`` arms the batch-amortized stages (batch auth, engine
+    batch hooks), walks each update through the per-update sequence —
+    preserving the verify→log→apply interleaving stateful aggregate
+    caches require — and anchors once.
     """
 
     def __init__(self, framework):
@@ -534,31 +484,6 @@ class Pipeline:
         self.durability = DurabilityStage(framework)
         self.apply = ApplyStage(framework)
         self.anchor = AnchorStage(framework, self.durability)
-        #: Stage order as an update experiences it.
-        self.stages = (self.auth, self.route, self.verify,
-                       self.durability, self.apply, self.anchor)
-
-    def run_one(self, update: Update) -> UpdateResult:
-        """Drive one update through the full pipeline (``submit``).
-
-        With a replication driver attached, even single submits are
-        ordered: the update rides a one-element batch through the
-        decided stream, so a replicated framework has exactly one
-        commit order no matter which submit API fed it.
-        """
-        fw = self.framework
-        if fw.replication is not None:
-            return self.run_batch([update], fw.executor)[0]
-        ctx = UpdateContext(update)
-        prof = fw.profiler
-        self._begin(ctx)
-        self._walk(ctx, prof)
-        if prof is None:
-            self.anchor.run_one(ctx)
-        else:
-            with prof.stage("anchor"):
-                self.anchor.run_one(ctx)
-        return self._record(ctx)
 
     def run_batch(self, updates: Sequence[Update],
                   executor) -> List[UpdateResult]:

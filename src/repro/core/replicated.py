@@ -21,10 +21,12 @@ against the committed prefix and re-asserts root convergence.  A
 non-durable replica recovers from the committed prefix alone — the
 decided stream *is* the authoritative history.
 
-The shard exposes the same handle surface as the sharded front-end's
-serial/process handles (submit, submit_many_async, digest, recover,
-telemetry, ...), so :class:`~repro.core.sharded.ShardedPReVer` can
-drop it in per shard via its ``consensus=`` plan knobs.
+The shard answers the same node surface as a plain ``PReVer`` shard,
+so :class:`~repro.core.sharded.ShardedPReVer` can drop it in per shard
+via its ``consensus=`` plan knobs.  It defines only what replication
+changes — ``submit_many``, ``digest``, the health/readiness reports,
+``metrics_snapshot``, ``stats``, convergence and crash/catch-up — and
+forwards every other public name to its primary replica.
 """
 
 from typing import Callable, List, Optional, Sequence
@@ -36,18 +38,6 @@ from repro.core.framework import PReVer
 from repro.core.outcome import UpdateResult
 from repro.model.update import Update
 from repro.obs.tracing import NOOP_TRACER
-
-
-class _Immediate:
-    """Future-alike over an already computed value (the async-dispatch
-    shim the sharded front-end's scatter/gather expects)."""
-
-    def __init__(self, value):
-        self._value = value
-
-    def result(self):
-        """The wrapped value."""
-        return self._value
 
 
 class ReplicatedShard:
@@ -122,10 +112,6 @@ class ReplicatedShard:
                 return index
         raise IntegrityError(f"shard {self.name!r} has no live replicas")
 
-    def submit(self, update: Update) -> UpdateResult:
-        """Order and replay a single update (a one-element batch)."""
-        return self.submit_many([update])[0]
-
     def submit_many(self, updates: Sequence[Update]) -> List[UpdateResult]:
         """Propose a batch, then replay every newly decided batch into
         all live replicas; returns this batch's results (from the
@@ -146,10 +132,6 @@ class ReplicatedShard:
                 "from the committed stream"
             )
         return results
-
-    def submit_many_async(self, updates: Sequence[Update]):
-        """Inline execution behind the async-dispatch interface."""
-        return _Immediate(self.submit_many(updates))
 
     def _apply_decided(self, decided) -> List[UpdateResult]:
         """Replay one decided batch into every live replica, asserting
@@ -281,22 +263,23 @@ class ReplicatedShard:
         self.assert_converged()
         return replayed
 
-    # -- the shard-handle surface (see repro.core.sharded) -----------------
+    # -- the shard node surface (see repro.core.sharded) -------------------
+
+    def __getattr__(self, name: str):
+        """Everything replication leaves alone (``recover``,
+        ``throughput_report``, ``verification_trail``, ``counters``,
+        ``telemetry_delta``, ...) is the primary replica's.  Submits
+        are not forwarded: they must go through the decided stream
+        (:meth:`submit_many`), never into one replica."""
+        if name.startswith(("_", "submit")) or "replicas" not in self.__dict__:
+            raise AttributeError(name)
+        return getattr(self.primary, name)
 
     def digest(self):
         """The shard ledger's digest — from the primary replica, after
         asserting every live replica agrees on the root."""
         self.assert_converged()
         return self.primary.ledger.digest()
-
-    def recover(self):
-        """Front-end recovery: re-run recovery on the primary replica
-        (non-durable primaries report through recovery's no-op path)."""
-        return self.primary.recover()
-
-    def throughput_report(self) -> dict:
-        """The primary replica's per-stage throughput report."""
-        return self.primary.throughput_report()
 
     def metrics_snapshot(self) -> dict:
         """Primary replica metrics, plus this shard's ``consensus.*``
@@ -305,25 +288,14 @@ class ReplicatedShard:
         snapshot["replication"] = self.metrics.snapshot()
         return snapshot
 
-    def telemetry_delta(self):
-        """Incremental telemetry from the primary replica (full
-        history on first call), for cross-shard aggregation."""
-        from repro.obs.aggregate import DeltaTracker
-
-        primary = self.primary
-        tracker = getattr(primary, "_replicated_tracker", None)
-        if tracker is None:
-            tracker = DeltaTracker(primary.metrics, tracer=primary.tracer,
-                                   origin=True)
-            primary._replicated_tracker = tracker
-        return tracker.capture()
-
-    def alive(self) -> bool:
-        """Liveness: at least one replica is live and healthy."""
-        try:
-            return self.primary.health_report()["ok"]
-        except IntegrityError:
-            return False
+    def health_report(self) -> dict:
+        """Primary liveness plus the live-replica count (raises
+        :class:`IntegrityError` when no replica is live)."""
+        report = self.primary.health_report()
+        live = sum(1 for r in self.replicas if r is not None)
+        report["checks"]["replicas"] = {"ok": True, "live": live,
+                                        "of": len(self.replicas)}
+        return report
 
     def readiness_report(self) -> dict:
         """Primary readiness plus replica-convergence checks."""
@@ -338,19 +310,6 @@ class ReplicatedShard:
         report["checks"]["replicas_converged"] = check
         report["ok"] = report["ok"] and check["ok"]
         return report
-
-    def verification_trail(self, trace_id: str):
-        """The primary replica's trail for ``trace_id``."""
-        return self.primary.verification_trail(trace_id)
-
-    def counters(self) -> dict:
-        """Submitted/applied/ledger-size counters (primary replica)."""
-        primary = self.primary
-        return {
-            "submitted": primary._submitted_count,
-            "applied": primary._applied_count,
-            "ledger_size": len(primary.ledger),
-        }
 
     def stats(self) -> dict:
         """Driver ordering stats plus replica/batch bookkeeping."""

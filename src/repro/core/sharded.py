@@ -56,6 +56,7 @@ from repro.consensus.driver import make_driver, resolve_plan
 from repro.core.federated import MPCVerifier, TokenVerifier
 from repro.core.framework import PReVer
 from repro.core.outcome import UpdateResult
+from repro.core.replicated import ReplicatedShard
 from repro.crypto.merkle import MerkleTree
 from repro.ledger.central import CentralLedger
 from repro.model.constraints import Constraint
@@ -120,145 +121,6 @@ class ShardPlan:
         if not tables:
             return tuple(range(len(self.specs)))
         return tuple(sorted({self.shard_for(table) for table in tables}))
-
-
-class _Immediate:
-    """Future-alike wrapping an already computed value, so serial and
-    process dispatch share one scatter/gather code path."""
-
-    def __init__(self, value):
-        self._value = value
-
-    def result(self):
-        """The wrapped value."""
-        return self._value
-
-
-class _SerialShard:
-    """In-process shard handle: the framework lives in this
-    interpreter (so :class:`MPCVerifier` escalation can reach its
-    databases), and "async" dispatch just runs inline."""
-
-    def __init__(self, spec: ShardSpec):
-        self.framework = spec.build()
-        self._tracker = None
-
-    def submit(self, update: Update) -> UpdateResult:
-        """Route one update through the shard's pipeline."""
-        return self.framework.submit(update)
-
-    def submit_many_async(self, updates: Sequence[Update]):
-        """Run the shard's batch inline; returns an immediate future."""
-        return _Immediate(self.framework.submit_many(updates))
-
-    def digest(self):
-        """The shard ledger's digest."""
-        return self.framework.ledger.digest()
-
-    def recover(self):
-        """Run the shard's crash recovery."""
-        return self.framework.recover()
-
-    def throughput_report(self) -> dict:
-        """The shard's per-stage throughput report."""
-        return self.framework.throughput_report()
-
-    def metrics_snapshot(self) -> dict:
-        """The shard's metrics snapshot."""
-        return self.framework.metrics.snapshot()
-
-    def telemetry_delta(self):
-        """Incremental telemetry delta (full history on first call)."""
-        if self._tracker is None:
-            from repro.obs.aggregate import DeltaTracker
-
-            self._tracker = DeltaTracker(
-                self.framework.metrics, tracer=self.framework.tracer,
-                origin=True,
-            )
-        return self._tracker.capture()
-
-    def alive(self) -> bool:
-        """Liveness: delegates to the in-process framework's checks."""
-        return self.framework.health_report()["ok"]
-
-    def readiness_report(self) -> dict:
-        """The shard framework's readiness report."""
-        return self.framework.readiness_report()
-
-    def verification_trail(self, trace_id: str):
-        """The shard's trail for ``trace_id`` (None when absent)."""
-        return self.framework.verification_trail(trace_id)
-
-    def counters(self) -> dict:
-        """Submitted/applied/ledger-size counters."""
-        return {
-            "submitted": self.framework._submitted_count,
-            "applied": self.framework._applied_count,
-            "ledger_size": len(self.framework.ledger),
-        }
-
-    def close(self) -> None:
-        """Flush the shard's WAL."""
-        self.framework.close()
-
-
-class _ProcessShard:
-    """Worker-process shard handle: every call crosses into the
-    shard's pinned child process via
-    :class:`~repro.parallel.shards.ShardWorker`."""
-
-    def __init__(self, spec: ShardSpec):
-        self.worker = ShardWorker(spec.name, spec.build)
-
-    def submit(self, update: Update) -> UpdateResult:
-        """Route one update through the shard's pipeline."""
-        return self.worker.call("submit", update)
-
-    def submit_many_async(self, updates: Sequence[Update]):
-        """Dispatch the shard's batch to its worker; returns the
-        future so other shards' batches run concurrently."""
-        return self.worker.call_async("submit_many", updates)
-
-    def digest(self):
-        """The shard ledger's digest."""
-        return self.worker.digest()
-
-    def recover(self):
-        """Run the shard's crash recovery inside its worker."""
-        return self.worker.call("recover")
-
-    def throughput_report(self) -> dict:
-        """The shard's per-stage throughput report."""
-        return self.worker.call("throughput_report")
-
-    def metrics_snapshot(self) -> dict:
-        """The shard's metrics snapshot."""
-        return self.worker.metrics_snapshot()
-
-    def telemetry_delta(self):
-        """Incremental telemetry delta from the shard's child process."""
-        return self.worker.telemetry_delta()
-
-    def alive(self) -> bool:
-        """Liveness: the pinned worker process can still take work."""
-        return self.worker.alive()
-
-    def readiness_report(self) -> dict:
-        """The shard framework's readiness report, from the child."""
-        return self.worker.call("readiness_report")
-
-    def verification_trail(self, trace_id: str):
-        """The shard's trail for ``trace_id`` (None when absent)."""
-        return self.worker.call("verification_trail", trace_id)
-
-    def counters(self) -> dict:
-        """Submitted/applied/ledger-size counters."""
-        return self.worker.counters()
-
-    def close(self) -> None:
-        """Flush the shard's WAL and stop its worker."""
-        self.worker.shutdown()
 
 
 @dataclass(frozen=True)
@@ -349,9 +211,12 @@ class ShardedPReVer:
         sharper_ledger = self._build_sharper_ledger(
             shard_plans, coordinator_plan
         )
-        handle_cls = _SerialShard if dispatch == "serial" else _ProcessShard
+        #: One node per shard, all answering the same surface: the
+        #: shard's own :class:`PReVer` (serial dispatch), a
+        #: :class:`ShardWorker` forwarding to it in a pinned process
+        #: (process dispatch), or a :class:`ReplicatedShard`.
         self.shards = [
-            self._build_shard(spec, plan, handle_cls, sharper_ledger)
+            self._build_shard(spec, plan, sharper_ledger)
             for spec, plan in zip(self.specs, shard_plans)
         ]
         #: The coordinator's own ordering driver: cross-shard
@@ -422,15 +287,15 @@ class ShardedPReVer:
         )
         return ShardedLedger(names, f=first.f, network=network)
 
-    def _build_shard(self, spec: ShardSpec, plan, handle_cls,
-                     sharper_ledger):
-        """One shard handle: plain serial/process for the default path,
-        a :class:`ReplicatedShard` when a consensus plan asks for
-        ordering or more than one replica."""
+    def _build_shard(self, spec: ShardSpec, plan, sharper_ledger):
+        """One shard node: the framework itself (serial) or its worker
+        process (process) for the default path, a
+        :class:`ReplicatedShard` when a consensus plan asks for ordering
+        or more than one replica."""
         if plan is None or (plan.kind == "local" and plan.replicas <= 1):
-            return handle_cls(spec)
-        from repro.core.replicated import ReplicatedShard
-
+            if self.dispatch == "serial":
+                return spec.build()
+            return ShardWorker(spec.name, spec.build)
         driver = make_driver(
             plan, metrics=self.metrics, tracer=self.tracer,
             sharper_ledger=sharper_ledger, sharper_shard=spec.name,
@@ -550,16 +415,8 @@ class ShardedPReVer:
     # -- the submit API ---------------------------------------------------
 
     def submit(self, update: Update) -> UpdateResult:
-        """Route one update: escalate cross-shard constraints, then
-        run it through its home shard's pipeline."""
-        index = self.plan.shard_for(update.table)
-        self._ctr_updates.add()
-        rejected = self._escalate(update)
-        if rejected is not None:
-            return rejected
-        result = self.shards[index].submit(update)
-        result.shard = self.specs[index].name
-        return result
+        """Route one update: a batch of one."""
+        return self.submit_many([update])[0]
 
     def submit_many(self, updates: Sequence[Update]) -> List[UpdateResult]:
         """Partition a batch by home shard and dispatch shard-parallel.
@@ -586,6 +443,7 @@ class ShardedPReVer:
                 results[position] = rejected
             else:
                 per_shard.setdefault(home, []).append(position)
+        process = self.dispatch == "process"
         with self.metrics.timed("sharded.dispatch"):
             scattered = []
             for home in sorted(per_shard):
@@ -598,13 +456,19 @@ class ShardedPReVer:
                         items=len(batch),
                         dispatch=self.dispatch,
                     )
+                shard = self.shards[home]
+                # Worker processes get every batch before any result is
+                # awaited, so the shards run concurrently.
                 scattered.append(
                     (home, positions,
-                     self.shards[home].submit_many_async(batch))
+                     shard.call_async("submit_many", batch) if process
+                     else shard.submit_many(batch))
                 )
-            for home, positions, future in scattered:
+            for home, positions, shard_results in scattered:
                 name = self.specs[home].name
-                for position, result in zip(positions, future.result()):
+                if process:
+                    shard_results = shard_results.result()
+                for position, result in zip(positions, shard_results):
                     result.shard = name
                     results[position] = result
         return results
@@ -703,9 +567,8 @@ class ShardedPReVer:
         Consensus-free shards are omitted."""
         report = {}
         for spec, shard in zip(self.specs, self.shards):
-            stats = getattr(shard, "stats", None)
-            if stats is not None:
-                report[spec.name] = stats()
+            if isinstance(shard, ReplicatedShard):
+                report[spec.name] = shard.stats()
         if self.replication is not None:
             report["coordinator"] = self.replication.stats()
         return report
@@ -722,7 +585,7 @@ class ShardedPReVer:
         }
         for spec, shard in zip(self.specs, self.shards):
             try:
-                ok = shard.alive()
+                ok = shard.health_report()["ok"]
                 detail = {"ok": ok, "dispatch": self.dispatch}
             except Exception as exc:
                 detail = {"ok": False, "error": repr(exc)}

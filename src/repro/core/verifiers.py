@@ -433,6 +433,11 @@ class ZKPVerifier(BaseVerifier):
     any value.  The producer must know the current total (it does: the
     totals are its own submissions; the framework echoes the running
     commitment randomness back over a secure owner channel).
+
+    Engine limitation: the range proofs only cover non-negative
+    contributions, so an update contributing a negative amount is
+    rejected (``failed_constraint`` = the constraint's id) even where
+    the plaintext reference would accept it.
     """
 
     name = "zkp"
@@ -491,7 +496,9 @@ class ZKPVerifier(BaseVerifier):
         )
         contribution = int(constraint.aggregate.contribution_of(update.payload))
         if contribution < 0:
-            raise EngineError("range proofs need non-negative contributions")
+            # No range proof exists for it: reject, fail-closed.
+            self.metrics.counter("zkp.refused").add()
+            return False
         secrets = self._secret_state[constraint.constraint_id]
         total, _ = secrets.get(group, (0, 0))
         new_total = total + contribution

@@ -5,9 +5,9 @@ profiled pipeline stage from a background thread at a fixed wall-clock
 interval; ``REPRO_PROFILE=cpu`` samples the main thread on CPU time
 via ``signal.setitimer(ITIMER_PROF)`` (so time blocked in ``fsync``
 does not accrue).  Either way a sample is the thread's current stage
-stack (pushed by :meth:`SamplingProfiler.stage` context managers
-threaded through ``core/pipeline.py`` and the pipelined committer)
-prefixed onto its Python call stack, aggregated into
+stack (pushed by :meth:`SamplingProfiler.stage` context managers and
+the stage markers threaded through ``core/pipeline.py``) prefixed onto
+its Python call stack, aggregated into
 flamegraph-compatible collapsed form::
 
     stage:verify;framework.py:submit_many;paillier.py:encrypt 42

@@ -15,12 +15,18 @@ no framework state ever crosses the process boundary; only updates go
 in and :class:`~repro.core.outcome.UpdateResult` lists, digests, and
 report dicts come back.
 
+A worker is also the process shard's whole surface: any public name
+it does not define itself (``submit_many``, ``digest``, ``recover``,
+``health_report``, ...) is the child framework's method of that name,
+forwarded through :meth:`ShardWorker.call`.
+
 Used by :class:`repro.core.sharded.ShardedPReVer` under
 ``dispatch="process"``; everything here is dispatch plumbing, the
 sharding semantics live there.
 """
 
 import atexit
+import functools
 from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Callable, Dict, List
 
@@ -30,10 +36,6 @@ from repro.common.errors import PReVerError
 #: ShardWorker's pool has exactly one process, so each child sees only
 #: its own shard's entry.
 _STATE: Dict[str, object] = {}
-
-#: Child-process-side delta trackers: shard key -> the DeltaTracker
-#: computing incremental telemetry captures for that shard.
-_TRACKERS: Dict[str, object] = {}
 
 
 def _shard_build(key: str, builder: Callable[[], object]) -> bool:
@@ -47,51 +49,12 @@ def _shard_method(key: str, method: str, args: tuple, kwargs: dict):
     return getattr(_STATE[key], method)(*args, **kwargs)
 
 
-def _shard_digest(key: str):
-    """(child) The shard ledger's current digest."""
-    return _STATE[key].ledger.digest()
-
-
-def _shard_metrics(key: str) -> dict:
-    """(child) The shard's metrics snapshot."""
-    return _STATE[key].metrics.snapshot()
-
-
-def _shard_telemetry(key: str):
-    """(child) The shard's telemetry delta since the last capture.
-
-    The first capture for a shard covers everything it ever recorded
-    (origin baseline), so a coordinator that starts scraping late still
-    sees the full history; later captures ship only the increments.
-    """
-    from repro.obs.aggregate import DeltaTracker
-
-    framework = _STATE[key]
-    tracker = _TRACKERS.get(key)
-    if tracker is None:
-        tracker = _TRACKERS[key] = DeltaTracker(
-            framework.metrics, tracer=framework.tracer, origin=True
-        )
-    return tracker.capture()
-
-
-def _shard_counters(key: str) -> dict:
-    """(child) The running pipeline counters recovery and reporting
-    need coordinator-side."""
-    framework = _STATE[key]
-    return {
-        "submitted": framework._submitted_count,
-        "applied": framework._applied_count,
-        "ledger_size": len(framework.ledger),
-    }
-
-
 _LIVE_WORKERS: List["ShardWorker"] = []
 
 
 def _shutdown_workers() -> None:
     while _LIVE_WORKERS:
-        _LIVE_WORKERS.pop().shutdown()
+        _LIVE_WORKERS.pop().close()
 
 
 atexit.register(_shutdown_workers)
@@ -132,32 +95,16 @@ class ShardWorker:
             raise PReVerError(f"shard worker {self.key!r} is shut down")
         return self._pool.submit(_shard_method, self.key, method, args, kwargs)
 
-    def digest(self):
-        """The shard ledger's digest, fetched from the child."""
-        return self._pool.submit(_shard_digest, self.key).result()
+    def __getattr__(self, name: str):
+        """Any other public name is the shard framework's method of
+        that name, forwarded through :meth:`call`."""
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return functools.partial(self.call, name)
 
-    def metrics_snapshot(self) -> dict:
-        """The shard's metrics snapshot, fetched from the child."""
-        return self._pool.submit(_shard_metrics, self.key).result()
-
-    def telemetry_delta(self):
-        """The shard's incremental
-        :class:`~repro.obs.aggregate.TelemetryDelta` (everything since
-        the previous call; the full history on the first)."""
-        return self._pool.submit(_shard_telemetry, self.key).result()
-
-    def alive(self) -> bool:
-        """Liveness probe: True while the pinned child can take work."""
-        if self._closed:
-            return False
-        return not getattr(self._pool, "_broken", False)
-
-    def counters(self) -> dict:
-        """Submitted/applied/ledger-size counters from the child."""
-        return self._pool.submit(_shard_counters, self.key).result()
-
-    def shutdown(self) -> None:
-        """Close the shard framework (WAL flush) and kill the child."""
+    def close(self) -> None:
+        """Close the shard framework (WAL flush) and kill the child;
+        idempotent."""
         if self._closed:
             return
         self._closed = True

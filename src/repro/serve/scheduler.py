@@ -8,10 +8,9 @@ when updates reach it in batches.  :class:`BatchingScheduler` bridges
 the two: admitted requests land on a bounded ingress queue, a collector
 task coalesces everything that arrives within a **time/size window**
 (``batch_window`` seconds, capped at ``max_batch`` updates), and the
-coalesced batch runs through ``target.submit_many`` — or
-``target.submit_pipelined`` when several windows' worth of work has
-queued up, overlapping batch N's anchor fsync with batch N+1's verify
-prep — on one dedicated pipeline thread.
+coalesced batch runs through ``target.submit_many`` — one call per
+``max_batch`` chunk when the batch is larger — on one dedicated
+pipeline thread.
 
 That single thread is a correctness decision, not just a convenience:
 :class:`~repro.core.framework.PReVer` is not thread-safe, and running
@@ -57,11 +56,11 @@ class BatchingScheduler:
     ``target`` is anything exposing ``submit_many`` — a
     :class:`~repro.core.framework.PReVer` or a
     :class:`~repro.core.sharded.ShardedPReVer` (served requests then
-    route across its shards exactly as in-process batches do).  When
-    the target also exposes ``submit_pipelined`` and more than one
-    ``max_batch`` window's worth of work is pending, the backlog is
-    chunked and submitted pipelined so anchor fsyncs overlap verify
-    prep.
+    route across its shards exactly as in-process batches do).  A
+    coalesced batch can exceed ``max_batch`` (the last request taken
+    may overshoot the cap, and one request may be larger on its own);
+    it then runs as consecutive ``submit_many`` calls of at most
+    ``max_batch`` updates each.
 
     Lifecycle: :meth:`start` inside a running event loop,
     :meth:`try_submit` per admitted request, :meth:`drain` to run the
@@ -94,7 +93,6 @@ class BatchingScheduler:
         self._ctr_batches = self.metrics.counter("server.batches")
         self._ctr_batched_updates = self.metrics.counter(
             "server.batched_updates")
-        self._ctr_pipelined = self.metrics.counter("server.pipelined_batches")
         self._tmr_batch = self.metrics.timer("server.batch")
         self._tmr_wait = self.metrics.timer("server.batch_wait")
         self._hist_batch_size = self.metrics.histogram(
@@ -214,13 +212,11 @@ class BatchingScheduler:
             updates.extend(item.updates)
         chunks = [updates[i:i + self.max_batch]
                   for i in range(0, len(updates), self.max_batch)]
-        pipelined = len(chunks) > 1 and hasattr(self.target,
-                                                "submit_pipelined")
         self._inflight = len(updates)
         start = loop.time()
         try:
             results = await loop.run_in_executor(
-                self._executor, self._run_chunks, chunks, pipelined)
+                self._executor, self._run_chunks, chunks)
         except Exception as exc:
             for item in items:
                 if not item.future.done():
@@ -232,8 +228,6 @@ class BatchingScheduler:
         self._tmr_batch.record(elapsed)
         self._ctr_batches.add()
         self._ctr_batched_updates.add(len(updates))
-        if pipelined:
-            self._ctr_pipelined.add(len(chunks))
         self._hist_batch_size.observe(len(updates))
         if self.tracer is not None and self.tracer.enabled:
             self.tracer.event(
@@ -241,7 +235,6 @@ class BatchingScheduler:
                 requests=len(items),
                 updates=len(updates),
                 chunks=len(chunks),
-                pipelined=pipelined,
                 seconds=elapsed,
             )
         offset = 0
@@ -252,11 +245,8 @@ class BatchingScheduler:
                 item.future.set_result(share)
         self._settle(items)
 
-    def _run_chunks(self, chunks: List[List[Update]],
-                    pipelined: bool) -> List[UpdateResult]:
-        """Pipeline-thread body: one submit_pipelined / submit_many run."""
-        if pipelined:
-            return self.target.submit_pipelined(chunks)
+    def _run_chunks(self, chunks: List[List[Update]]) -> List[UpdateResult]:
+        """Pipeline-thread body: one ``submit_many`` per chunk."""
         results: List[UpdateResult] = []
         for chunk in chunks:
             results.extend(self.target.submit_many(chunk))

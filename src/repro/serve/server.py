@@ -19,9 +19,9 @@
   never an unbounded queue, never a silent drop.
 * **Batching** delegates to
   :class:`~repro.serve.scheduler.BatchingScheduler`, which coalesces
-  concurrent requests into ``submit_many`` / ``submit_pipelined`` runs
-  on one pipeline thread, in admission order — so the served decision
-  stream and anchored roots are identical to the in-process path.
+  concurrent requests into ``submit_many`` runs on one pipeline
+  thread, in admission order — so the served decision stream and
+  anchored roots are identical to the in-process path.
 * **Shutdown** (:meth:`PReVerServer.stop`) is a drain, not an abort:
   the listener closes, late submits answer SHUTTING_DOWN, every
   admitted batch completes and its responses flush before connections

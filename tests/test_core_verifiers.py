@@ -213,3 +213,35 @@ def test_dp_index_verifier_single_constraint_only():
             [regulation(1), regulation(2)],
             DPIndex(0, 10, 2, PrivacyAccountant(1.0), 0.5),
         )
+
+
+def test_zkp_negative_contribution_rejects_fail_closed(tmp_path):
+    """A negative contribution mid-batch is a typed rejection, not an
+    exception: the batch anchors both decisions, and recovery on a
+    rebuilt framework keeps the earlier applied row."""
+    from repro.core.contexts import single_private_database
+    from repro.durability import Durability
+
+    def build():
+        reg = regulation()
+        reg.constraint_id = "cst-zkp-cap"
+        return single_private_database(
+            fresh_db(), [reg], engine="zkp",
+            durability=Durability.wal(str(tmp_path)),
+        )
+
+    framework = build()
+    good = make_update(1, "acme", 10)
+    negative = make_update(2, "acme", -5)
+    results = framework.submit_many([good, negative])
+    assert [r.applied for r in results] == [True, False]
+    assert results[1].outcome.failed_constraint == "cst-zkp-cap"
+    assert len(framework.ledger) == 2
+    root = framework.ledger.digest().root
+    framework.close()
+
+    rebuilt = build()
+    report = rebuilt.recover()
+    assert report.dropped_unanchored == 0
+    assert rebuilt.ledger.digest().root == root
+    assert len(rebuilt.databases[0].table("reports")) == 1

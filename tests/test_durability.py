@@ -443,6 +443,30 @@ def test_recovery_equivalence(tmp_path, engine):
     recovered.close()
 
 
+def test_many_small_batches_roundtrip_recovery(tmp_path):
+    """Many consecutive small batches (one anchor marker each, with
+    accepts and cap rejections), then a full recovery cycle: the
+    rebuilt framework lands on the same root and rows."""
+    durability = Durability.wal(durable_dir(tmp_path))
+    framework, database = build(durability=durability, bound=100)
+    stream = [make_update(i, co2=30, org=f"org{i % 2}") for i in range(20)]
+    for start in range(0, len(stream), 3):
+        framework.submit_many(stream[start:start + 3])
+    assert 0 < framework.acceptance_rate() < 1
+    root = framework.ledger.digest().root
+    rows = database.table("emissions").rows()
+    framework.close()
+
+    recovered, recovered_db = build(durability=durability, bound=100)
+    report = recovered.recover()
+    assert report.verified_against_anchor
+    assert report.replayed_anchors == 7
+    assert report.final_root == root.hex()
+    assert recovered.ledger.digest().root == root
+    assert recovered_db.table("emissions").rows() == rows
+    recovered.close()
+
+
 def test_durability_off_is_byte_identical(tmp_path):
     """Anchored payloads never depend on the durability mode: ledger
     roots with durability off equal roots with it on."""

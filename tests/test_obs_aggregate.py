@@ -245,7 +245,7 @@ def test_sharded_serial_telemetry_and_trail(tmp_path):
         assert sharded.verification_trail("tr-none") is None
         # Attach tracing to one shard and find its trail via the
         # coordinator (trail carries the owning shard's name).
-        shard = sharded.shards[0].framework
+        shard = sharded.shards[0]
         shard.tracer = Tracer().add_sink(EventLog())
         result = sharded.submit(sharded_stream(1, offset=50)[0])
         trail = sharded.verification_trail(result.trace_id)

@@ -158,8 +158,7 @@ def test_profiled_framework_attributes_stage_samples(tmp_path):
     # The exact stages sampled depend on timing; whatever was sampled
     # must be a known pipeline stage, and something must be sampled.
     known = {"authenticate", "route", "verify", "durability", "apply",
-             "anchor", "anchor_batch", "auth_batch", "prepare_batch",
-             "committer"}
+             "anchor_batch", "auth_batch", "prepare_batch"}
     assert report, "profiled run collected no stage samples"
     assert set(report) <= known
 

@@ -197,6 +197,41 @@ def test_sharded_target_served_decisions_match():
     assert [r.applied for r in replayed] == [r.applied for r in served]
 
 
+def test_request_over_max_batch_runs_as_max_batch_chunks():
+    """One SUBMIT_MANY of 300 against max_batch=256 runs as two
+    consecutive submit_many calls (256 + 44); decisions and root equal
+    the in-process run over the same two chunks."""
+    def updates():
+        # Ten orgs of 30 inserts each: the 100-cap admits three per org.
+        return [u for k in range(10)
+                for u in make_updates(ALICE, range(30 * k, 30 * k + 30),
+                                      co2=30, org=f"org{k}")]
+
+    async def scenario():
+        framework = build_framework()
+        async with serving(framework, batch_window=0.01, max_batch=256,
+                           producers={"alice": ALICE.public_key}) as server:
+            host, port = server.address
+            async with await ServeClient.connect(
+                    host, port, producer=ALICE) as client:
+                served = await client.submit_many(updates())
+        return framework, served
+
+    framework, served = asyncio.run(scenario())
+    assert framework.metrics.counter_value("server.batches") == 1
+    assert len(framework.metrics.timer("pipeline.anchor_batch").samples) == 2
+    stream = updates()
+    reference = build_framework()
+    expected = (reference.submit_many(stream[:256])
+                + reference.submit_many(stream[256:]))
+    assert [(r.update_id, r.accepted, r.applied, r.ledger_sequence,
+             r.failed_constraint) for r in served] == [
+        (r.update.update_id, r.outcome.accepted, r.applied,
+         r.ledger_sequence, r.outcome.failed_constraint) for r in expected]
+    assert sum(r.applied for r in served) == 30
+    assert framework.ledger.digest().root == reference.ledger.digest().root
+
+
 # -- sessions and auth -------------------------------------------------------
 
 

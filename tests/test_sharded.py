@@ -213,6 +213,62 @@ def test_single_shard_front_end_reproduces_monolith_goldens(path, tmp_path):
     ).root()
 
 
+# -- one node surface --------------------------------------------------------
+
+
+def build_replica_shard(name, table, state_dir, replica=0):
+    """Picklable builder keyed on the replica index, so replicated
+    shards give every replica its own WAL directory."""
+    return build_shard(name, table,
+                       state_dir=os.path.join(state_dir, f"r{replica}"))
+
+
+#: ShardedPReVer knobs selecting each node kind: the shard's own
+#: PReVer, the worker-process proxy, and a two-replica ReplicatedShard.
+NODE_KINDS = {
+    "serial": {},
+    "process": {"dispatch": "process"},
+    "replicated": {"consensus": "local"},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NODE_KINDS))
+def test_every_shard_call_on_every_node_kind(kind, tmp_path):
+    """Every call ShardedPReVer makes on a shard, on each node kind."""
+    specs = [
+        ShardSpec(name, (table,), functools.partial(
+            build_replica_shard, name, table, str(tmp_path)))
+        for name, table in sorted(TABLES.items())
+    ]
+    sharded = ShardedPReVer(specs, **NODE_KINDS[kind])
+    try:
+        results = sharded.submit_many(sharded_stream(8))
+        assert [r.applied for r in results] == [True] * 4 + [False] * 4
+        single = sharded.submit(sharded_stream(1, offset=50, who="bob")[0])
+        assert single.applied and single.shard == "s0"
+        digest = sharded.digest()
+        assert digest.shard_sizes == (5, 4)
+        assert sharded.throughput_report()["combined"]["updates"] == 9
+        snapshot = sharded.metrics_snapshot()
+        assert snapshot["s0"]["counters"]["pipeline.updates"]["count"] == 5
+        registry = sharded.collect_telemetry()
+        assert registry.counter_value("shard.s1.pipeline.updates") == 4
+        assert sharded.health_report()["ok"]
+        assert sharded.readiness_report()["ok"]
+        assert sharded.verification_trail("tr-none") is None
+        assert sharded.acceptance_rate() == 5 / 9
+    finally:
+        sharded.close()
+    # close() reached every node: its WALs (or worker) are gone.
+    assert not sharded.health_report()["ok"]
+
+    recovered = ShardedPReVer(specs, **NODE_KINDS[kind])
+    reports = recovered.recover()
+    assert [reports[name].final_root for name in ("s0", "s1")] == [
+        root.hex() for root in digest.shard_roots]
+    recovered.close()
+
+
 # -- dispatch equivalence ----------------------------------------------------
 
 
@@ -432,13 +488,13 @@ def test_sharded_real_sigkill_recovers_every_root(tmp_path, point):
         # _crash_after is set, and the kill hook replaces the raise, so
         # arm it only for the second batch.
         for shard in sharded.shards:
-            shard.framework._crash_after = None
+            shard._crash_after = None
         sharded.submit_many(sharded_stream(6))
         with open({roots_path!r}, "w") as handle:
             for name, digest in sorted(sharded.shard_digests().items()):
                 handle.write(digest.root.hex() + "\\n")
         for shard in sharded.shards:
-            shard.framework._crash_after = {point!r}
+            shard._crash_after = {point!r}
         sharded.submit_many(sharded_stream(6, offset=100, who="bob"))
         raise SystemExit("crash point never fired")
     """)
