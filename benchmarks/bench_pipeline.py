@@ -8,9 +8,7 @@ overhead ordering the paper predicts for RC1's technique menu.
 Also measures the batched fast path (``submit_many``: constraint
 routing, incremental aggregate cache, one Merkle anchor per batch,
 Paillier offline randomness) against sequential ``submit`` on the same
-update stream, asserting decision/digest equivalence, and compares the
-multicore execution layer (``--executor process --workers N``) against
-serial ``submit_many`` on the crypto-heavy Paillier path.  With
+update stream, asserting decision/digest equivalence.  With
 ``--durability`` it additionally prices the crash-safety layer: the
 same stream under durability off / wal (group-commit) / wal with an
 fsync per record / wal+snapshot, asserting the ledger root is
@@ -26,8 +24,7 @@ collapsed stacks).  Batched rows carry per-stage p50/p99 latency.
 Everything is written to ``BENCH_pipeline.json``.  Standalone:
 
     PYTHONPATH=src python benchmarks/bench_pipeline.py [--smoke]
-        [--executor {serial,process}] [--workers N] [--durability]
-        [--shards N [N ...]] [--profile-out PATH]
+        [--durability] [--shards N [N ...]] [--profile-out PATH]
 """
 
 import argparse
@@ -53,7 +50,6 @@ from repro.durability import Durability
 from repro.model.constraints import upper_bound_regulation
 from repro.model.update import Update, UpdateOperation
 from repro.obs.export import metrics_to_json
-from repro.parallel import ParallelExecutor
 
 from _report import print_table
 
@@ -62,7 +58,7 @@ BATCH_ENGINES = ["plaintext", "paillier"]
 _ids = itertools.count()
 
 
-def build(engine, executor=None, durability=None):
+def build(engine, durability=None):
     db = Database("mgr")
     db.create_table(TableSchema.build(
         "emissions",
@@ -77,7 +73,7 @@ def build(engine, executor=None, durability=None):
     # batched, durable vs not) anchor byte-identical decision records.
     regulation.constraint_id = "cst-emissions-cap"
     return single_private_database(db, [regulation], engine=engine,
-                                   executor=executor, durability=durability)
+                                   durability=durability)
 
 
 def one_update(framework):
@@ -148,11 +144,9 @@ def compare_batched_vs_sequential(engine, n_updates):
         stage: {"p50": stats["p50"], "p99": stats["p99"]}
         for stage, stats in stages.items()
     }
-    # Verify-stage share of the batched wall clock, charging the
-    # batch-prepare phase (front-loaded contribution encryption) to
-    # verify — the figure the fast-math backend attacks.
-    verify_seconds = stage_totals.get("verify", 0.0) + \
-        bat_fw.metrics.timer_total("pipeline.prepare_batch")
+    # Verify-stage share of the batched wall clock — the figure the
+    # fast-math backend attacks.
+    verify_seconds = stage_totals.get("verify", 0.0)
     return {
         "engine": engine,
         "updates": n_updates,
@@ -169,91 +163,6 @@ def compare_batched_vs_sequential(engine, n_updates):
         # batched framework's full counter/timer telemetry, sorted so
         # consecutive artifacts diff cleanly.
         "batched_metrics": metrics_to_json(bat_fw.metrics),
-    }
-
-
-def compare_parallel_vs_serial(engine="paillier", n_updates=300, workers=4):
-    """Time the same ``submit_many`` stream under the serial and the
-    process-pool executors.
-
-    Asserts decision and digest equivalence (the execution layer's core
-    guarantee), then reports wall-clock and per-stage speedups.  The
-    verify-stage figure charges the parallel run for its batch-prepare
-    time (contribution encryption happens before the per-update stage
-    timers).
-    """
-    host_cpus = os.cpu_count() or 1
-    serial_fw = build(engine)
-    parallel_fw = build(engine, executor=ParallelExecutor(workers=workers))
-
-    stream = make_stream(n_updates)
-    gc.collect()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        serial_results = serial_fw.submit_many(stream)
-        serial_elapsed = time.perf_counter() - start
-    finally:
-        gc.enable()
-
-    stream = make_stream(n_updates)
-    gc.collect()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        parallel_results = parallel_fw.submit_many(stream)
-        parallel_elapsed = time.perf_counter() - start
-    finally:
-        gc.enable()
-
-    assert [r.applied for r in serial_results] == \
-        [r.applied for r in parallel_results]
-    assert serial_fw.ledger.digest().root == parallel_fw.ledger.digest().root, \
-        "parallel execution must reproduce the serial digest"
-
-    def stage_totals(fw):
-        totals = {stage: stats["total"]
-                  for stage, stats in fw.throughput_report()["stages"].items()}
-        # Charge prepared work (parallel contribution encryption) to
-        # the verify stage it front-loads.
-        totals["verify"] = totals.get("verify", 0.0) + \
-            fw.metrics.timer_total("pipeline.prepare_batch")
-        return totals
-
-    def stage_latency(fw):
-        return {stage: {"p50": stats["p50"], "p99": stats["p99"]}
-                for stage, stats in fw.throughput_report()["stages"].items()}
-
-    serial_stages = stage_totals(serial_fw)
-    parallel_stages = stage_totals(parallel_fw)
-    stage_speedup = {
-        stage: (serial_stages[stage] / parallel_stages[stage]
-                if parallel_stages.get(stage) else None)
-        for stage in serial_stages
-    }
-    note = ""
-    if host_cpus < workers:
-        note = (f"host exposes {host_cpus} CPU(s) for {workers} workers: "
-                f"process-pool fan-out cannot exceed 1x here; speedups "
-                f"reflect pure overhead, not the layer's ceiling")
-    return {
-        "engine": engine,
-        "mode": "parallel-vs-serial",
-        "updates": n_updates,
-        "workers": workers,
-        "host_cpus": host_cpus,
-        "serial_seconds": serial_elapsed,
-        "parallel_seconds": parallel_elapsed,
-        "serial_per_sec": n_updates / serial_elapsed,
-        "parallel_per_sec": n_updates / parallel_elapsed,
-        "speedup": serial_elapsed / parallel_elapsed,
-        "verify_stage_speedup": stage_speedup.get("verify"),
-        "stage_speedup": stage_speedup,
-        "serial_stage_totals": serial_stages,
-        "parallel_stage_totals": parallel_stages,
-        "serial_stage_latency": stage_latency(serial_fw),
-        "parallel_stage_latency": stage_latency(parallel_fw),
-        "note": note,
     }
 
 
@@ -510,7 +419,6 @@ def compare_backends(paillier_updates=200, kernel_ops=400, seed=1234):
         verify_seconds = (
             framework.throughput_report()["stages"]
             .get("verify", {}).get("total", 0.0)
-            + framework.metrics.timer_total("pipeline.prepare_batch")
         )
         paillier_rows.append({
             "backend": name,
@@ -868,8 +776,7 @@ def compare_encoding(n_payloads=2000, repeats=3, e2e_updates=600,
 
 
 def run_batch_comparison(plaintext_updates=1000, paillier_updates=300,
-                         out_path="BENCH_pipeline.json", workers=4,
-                         parallel_updates=None, include_parallel=True,
+                         out_path="BENCH_pipeline.json",
                          include_durability=False, durability_updates=600,
                          shard_counts=(), sharded_updates=2000,
                          include_backends=True, backend_updates=200,
@@ -881,13 +788,6 @@ def run_batch_comparison(plaintext_updates=1000, paillier_updates=300,
     for engine in BATCH_ENGINES:
         n = plaintext_updates if engine == "plaintext" else paillier_updates
         results.append(compare_batched_vs_sequential(engine, n))
-    parallel = []
-    if include_parallel:
-        parallel.append(compare_parallel_vs_serial(
-            engine="paillier",
-            n_updates=parallel_updates or paillier_updates,
-            workers=workers,
-        ))
     durability = []
     if include_durability:
         durability = compare_durability(n_updates=durability_updates)
@@ -908,9 +808,8 @@ def run_batch_comparison(plaintext_updates=1000, paillier_updates=300,
     artifact = {
         "experiment": "E1-batched",
         "description": "batched (submit_many) vs sequential (submit) "
-                       "Figure-2 pipeline throughput, plus the multicore "
-                       "execution layer (process pool) vs serial on the "
-                       "Paillier verify path, the fast-math backend and "
+                       "Figure-2 pipeline throughput, plus the fast-math "
+                       "backend and "
                        "exponentiation kernels (fixed-base, multi-exp) "
                        "against builtin pow, plus the durability "
                        "layer's fsync cost per mode and the sharded "
@@ -922,7 +821,6 @@ def run_batch_comparison(plaintext_updates=1000, paillier_updates=300,
                        "3-encodes-per-submit pattern with byte-equality "
                        "asserts on roots and WAL frames",
         "results": results,
-        "parallel": parallel,
         "durability": durability,
         "sharded": sharded,
         "backends": backends,
@@ -1032,36 +930,6 @@ def print_backend_table(artifact):
         print(f"gmpy2 verify-kernel speedup: "
               f"{backends['gmpy2_verify_kernel_speedup']:.2f}x "
               f"(pipeline: {backends['gmpy2_pipeline_speedup']:.2f}x)")
-
-
-def parallel_rows(artifact):
-    return [
-        [
-            r["engine"], r["updates"],
-            f"{r['workers']}w/{r['host_cpus']}cpu",
-            f"{r['serial_per_sec']:.0f}/s",
-            f"{r['parallel_per_sec']:.0f}/s",
-            f"{r['speedup']:.2f}x",
-            (f"{r['verify_stage_speedup']:.2f}x"
-             if r.get("verify_stage_speedup") else "-"),
-        ]
-        for r in artifact.get("parallel", [])
-    ]
-
-
-def print_parallel_table(artifact):
-    rows = parallel_rows(artifact)
-    if not rows:
-        return
-    print_table(
-        "E1-parallel: process-pool vs serial executor (submit_many)",
-        ["engine", "updates", "workers", "serial", "parallel",
-         "wall-speedup", "verify-speedup"],
-        rows,
-    )
-    for r in artifact.get("parallel", []):
-        if r.get("note"):
-            print(f"note: {r['note']}")
 
 
 def sharded_rows(artifact):
@@ -1200,13 +1068,6 @@ def main(argv=None):
                         help="plaintext-engine stream length")
     parser.add_argument("--paillier-updates", type=int, default=300,
                         help="paillier-engine stream length")
-    parser.add_argument("--executor", choices=["serial", "process"],
-                        default="process",
-                        help="execution layer for the parallel comparison "
-                             "row ('serial' skips that row entirely)")
-    parser.add_argument("--workers", type=int, default=4,
-                        help="process-pool worker count for the parallel "
-                             "comparison row")
     parser.add_argument("--out", default="BENCH_pipeline.json",
                         help="artifact path ('' to skip writing)")
     parser.add_argument("--metrics-out", default="",
@@ -1255,8 +1116,6 @@ def main(argv=None):
             or args.backend_updates <= 0 or args.profiler_updates <= 0 \
             or args.encoding_payloads <= 0 or args.encoding_updates <= 0:
         parser.error("stream lengths must be positive")
-    if args.workers <= 0:
-        parser.error("--workers must be positive")
     if any(count <= 0 for count in args.shards):
         parser.error("--shards counts must be positive")
     if any(count > SHARD_TABLE_COUNT for count in args.shards):
@@ -1277,8 +1136,6 @@ def main(argv=None):
         plaintext_updates=args.updates,
         paillier_updates=args.paillier_updates,
         out_path=args.out,
-        workers=args.workers,
-        include_parallel=(args.executor == "process"),
         include_durability=args.durability,
         durability_updates=args.durability_updates,
         shard_counts=args.shards,
@@ -1299,7 +1156,6 @@ def main(argv=None):
     )
     print_encoding_table(artifact)
     print_backend_table(artifact)
-    print_parallel_table(artifact)
     print_sharded_table(artifact)
     print_durability_table(artifact)
     print_profiler_table(artifact)
@@ -1372,21 +1228,9 @@ def main(argv=None):
                 f"plaintext batched speedup {plaintext['speedup']:.2f}x "
                 f"below the 5x bar"
             )
-        for result in artifact.get("parallel", []):
-            # The 2x verify-stage bar only binds when the host can
-            # actually run the workers concurrently; capped hosts
-            # document the cap in the artifact's ``note`` instead.
-            if (result["host_cpus"] >= result["workers"]
-                    and (result.get("verify_stage_speedup") or 0.0) < 2.0):
-                raise SystemExit(
-                    f"parallel verify-stage speedup "
-                    f"{result['verify_stage_speedup']:.2f}x below the 2x bar "
-                    f"at {result['workers']} workers on "
-                    f"{result['host_cpus']} CPUs"
-                )
         for result in artifact.get("sharded", []):
-            # Same CPU caveat: the 2x-at-4-shards bar only binds on
-            # hosts that can run 4 shard workers concurrently.
+            # The 2x-at-4-shards bar only binds on hosts that can run
+            # 4 shard workers concurrently.
             if (result["shards"] >= 4
                     and result["host_cpus"] >= result["shards"]
                     and result["speedup_vs_baseline"] < 2.0):

@@ -257,11 +257,9 @@ class MetricsRegistry:
 
         Each stage's ``per_sec`` is computed from that stage's own
         recorded wall time (``n / total``), *not* from the summed
-        elapsed across stages: under the parallel executor stages
-        overlap batch-prepared work, so dividing by the sum would
-        understate every stage's true rate.  ``updates_per_sec``
-        remains the conservative end-to-end figure over summed stage
-        time (an overlap-free lower bound).
+        elapsed across stages, which would understate every stage's
+        rate.  ``updates_per_sec`` is the end-to-end figure over
+        summed stage time.
         """
         updates = self._counters.get(updates_counter)
         count = updates.count if updates is not None else 0

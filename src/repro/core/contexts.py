@@ -52,7 +52,6 @@ def single_private_database(
     dp_epsilon_total: float = 5.0,
     dp_epsilon_per_refresh: float = 0.25,
     tracer=None,
-    executor=None,
     durability=None,
     profiler=None,
 ) -> PReVer:
@@ -87,7 +86,6 @@ def single_private_database(
         policy=policy or SUSTAINABILITY_POLICY,
         threat_model=ThreatModel.honest_but_curious_manager(),
         tracer=tracer,
-        executor=executor,
         durability=durability,
         profiler=profiler,
     )

@@ -32,7 +32,6 @@ across several ``PReVer`` shards behind the same submit API; a
 """
 
 import os
-from collections import deque
 from typing import Dict, List, Optional, Sequence
 
 from repro.common.clock import SimClock, WallClock
@@ -44,7 +43,7 @@ from repro.core.pipeline import Pipeline
 from repro.core.routing import ConstraintRouter
 from repro.database.engine import Database
 from repro.ledger.central import CentralLedger
-from repro.parallel.executors import resolve_executor
+from repro.parallel.executors import make_executor
 from repro.model.constraints import Constraint, ConstraintKind
 from repro.obs.tracing import NOOP_TRACER, Span, Tracer
 from repro.model.participants import Authority
@@ -66,15 +65,20 @@ class PReVer:
         clock: Optional[SimClock] = None,
         require_signed_updates: bool = False,
         metrics: Optional[MetricsRegistry] = None,
-        max_results: Optional[int] = None,
         tracer: Optional[Tracer] = None,
         executor=None,
         durability: Optional[Durability] = None,
         profiler=None,
-        replication=None,
     ):
         if not databases:
             raise PReVerError("PReVer needs at least one database")
+        # In-node execution is serial; ``executor`` accepts only
+        # ``make_executor("serial")`` (multicore is process shards).
+        if executor is not None and executor != make_executor("serial"):
+            raise PReVerError(
+                f"unsupported executor {executor!r}: in-node execution is "
+                "serial; use ShardedPReVer(dispatch='process') for multicore"
+            )
         self.databases = list(databases)
         self.engine = engine
         self.ledger = ledger or CentralLedger(name="prever-ledger")
@@ -89,14 +93,6 @@ class PReVer:
         self.metrics = metrics or MetricsRegistry()
         self.constraints: List[Constraint] = []
         self._authorities: Dict[str, Authority] = {}
-        # Retention: unbounded list by default; a deque(maxlen=...) when
-        # capped, so long benchmark runs don't grow memory without bound.
-        if max_results is not None:
-            if max_results <= 0:
-                raise PReVerError("max_results must be positive")
-            self.results = deque(maxlen=max_results)
-        else:
-            self.results = []
         self._submitted_count = 0
         self._applied_count = 0
         self._wall = WallClock()
@@ -117,25 +113,6 @@ class PReVer:
                 self.ledger.bind_tracer(self.tracer)
             if engine is not None and hasattr(engine, "bind_tracer"):
                 engine.bind_tracer(self.tracer)
-        # Execution layer for the crypto-heavy stages: serial by
-        # default, a process pool when requested explicitly or via
-        # REPRO_EXECUTOR / REPRO_WORKERS.  Bound into the ledger
-        # (chunked Merkle leaf hashing) and the engine (e.g. parallel
-        # Paillier contribution encryption); decisions and digests are
-        # executor-independent by construction.
-        self.executor = resolve_executor(executor)
-        if self.tracer.enabled:
-            self.executor.bind_tracer(self.tracer)
-        # Worker telemetry: pooled executors ship each worker's metric
-        # delta back with its chunk results and merge it here under
-        # per-worker labels.  A no-op for in-process executors, and
-        # result-invariant for pooled ones, so binding unconditionally
-        # is safe.
-        self.executor.bind_metrics(self.metrics)
-        if hasattr(self.ledger, "bind_executor"):
-            self.ledger.bind_executor(self.executor)
-        if engine is not None and hasattr(engine, "bind_executor"):
-            engine.bind_executor(self.executor)
         # Durability: off by default, which keeps every code path (and
         # so every decision, digest, and benchmark number) identical to
         # the pre-durability framework.  When on, the WAL opens now —
@@ -176,14 +153,6 @@ class PReVer:
         self.profiler = profiler
         if self.profiler is not None:
             self.profiler.start()
-        # Replication: the pluggable commit point (repro.consensus
-        # .driver).  ``None`` is the implicit LocalDriver — the exact
-        # pre-driver code path, byte-identical decisions/roots/WAL.
-        # With a driver attached, submit/submit_many propose batches
-        # and the pipeline replays only the driver's decided stream.
-        self.replication = replication
-        if self.replication is not None:
-            self.replication.bind_observability(self.metrics, self.tracer)
         # The digest captured by the most recent durable anchor commit;
         # /readyz checks the live ledger still extends it.
         self._last_anchored_digest = None
@@ -261,8 +230,7 @@ class PReVer:
         of one."""
         return self.submit_many([update])[0]
 
-    def submit_many(self, updates: Sequence[Update],
-                    executor=None) -> List[UpdateResult]:
+    def submit_many(self, updates: Sequence[Update]) -> List[UpdateResult]:
         """Run a batch of updates through the pipeline, anchoring once.
 
         Decision-equivalent to submitting the updates one at a time in
@@ -272,19 +240,14 @@ class PReVer:
         per-update linear scans, an incremental aggregate cache
         replaces per-update table re-scans, and the ledger's Merkle
         tree is extended once per batch instead of once per decision.
-
-        ``executor`` overrides the framework's execution layer for this
-        batch only.  Under a parallel executor three crypto stages fan
-        out across workers — batch Schnorr authentication, engine
-        contribution encryption (via the ``prepare_batch`` hook), and
-        Merkle leaf hashing — with results still byte-identical to the
-        serial path.
+        Replication is a :class:`~repro.core.replicated.ReplicatedShard`
+        over replica frameworks, each replaying the decided batches
+        through this method.
         """
         updates = list(updates)
         if not updates:
             return []
-        executor = executor if executor is not None else self.executor
-        return self.pipeline.run_batch(updates, executor)
+        return self.pipeline.run_decided_batch(updates)
 
     def _apply(self, update: Update) -> None:
         database = self._target_database(update)
@@ -388,8 +351,6 @@ class PReVer:
             self._wal.close()
         if self.profiler is not None:
             self.profiler.stop()
-        if self.replication is not None:
-            self.replication.close()
 
     def _record_result(self, update: Update, outcome: VerificationOutcome,
                        applied: bool, timings: Dict[str, float],
@@ -416,7 +377,7 @@ class PReVer:
                 reason=update.rejection_reason,
                 failed_constraint=outcome.failed_constraint,
             )
-        result = UpdateResult(
+        return UpdateResult(
             update=update,
             outcome=outcome,
             applied=applied,
@@ -424,8 +385,6 @@ class PReVer:
             stage_timings=timings,
             trace_id=trace_id,
         )
-        self.results.append(result)
-        return result
 
     # -- authenticated reads (RC4's query side) -----------------------------------
 
@@ -471,15 +430,13 @@ class PReVer:
     def health_report(self) -> dict:
         """Liveness checks behind the ops server's ``/healthz``.
 
-        Three checks, each ``{"ok": bool, ...detail}``:
+        Two checks, each ``{"ok": bool, ...detail}``:
 
         * ``ledger`` — the Merkle ledger is reachable and can produce a
           digest;
         * ``wal`` — with durability on, the write-ahead log still holds
           an open handle on a writable directory (closed or torn-down
-          WALs flip this, and with it the whole probe, to unhealthy);
-        * ``executor`` — the execution layer can still accept work (a
-          broken process pool flips this).
+          WALs flip this, and with it the whole probe, to unhealthy).
 
         The report's top-level ``ok`` is the conjunction; the ops
         server maps it to HTTP 200/503.
@@ -498,9 +455,6 @@ class PReVer:
             }
         else:
             checks["wal"] = {"ok": True, "enabled": False}
-        checks["executor"] = {
-            "ok": self.executor.healthy(), **self.executor.describe(),
-        }
         return {
             "ok": all(c["ok"] for c in checks.values()),
             "checks": checks,
@@ -611,9 +565,8 @@ class PReVer:
         return self._telemetry_tracker.capture()
 
     def acceptance_rate(self) -> float:
-        """Applied / submitted over the whole run.  Computed from
-        running counters, so it stays correct when ``max_results``
-        evicts old :class:`UpdateResult` records."""
+        """Applied / submitted over the whole run, from running
+        counters (the framework keeps no per-update results)."""
         if not self._submitted_count:
             return 0.0
         return self._applied_count / self._submitted_count

@@ -14,8 +14,8 @@ There is one way in: a single update is a batch of one, so
     — plugged-in engines route internally).
 ``VerifyStage``
     constraint/regulation verification; ``run_batch`` drives the
-    engine's ``begin_batch`` / ``prepare_batch`` hooks and the
-    framework-level :class:`BatchAggregateCache`.
+    engine's ``begin_batch`` hook and the framework-level
+    :class:`BatchAggregateCache`.
 ``DurabilityStage``
     log-before-apply WAL records per update, and the batch's anchor
     marker + group-commit fsync (``commit``).
@@ -105,7 +105,7 @@ class Stage:
         """Advance one update's context through this stage."""
         raise NotImplementedError
 
-    def run_batch(self, ctxs: Sequence[UpdateContext], executor) -> None:
+    def run_batch(self, ctxs: Sequence[UpdateContext]) -> None:
         """Batch precomputation hook; the default has none."""
 
     def finish_batch(self, ctxs: Sequence[UpdateContext]) -> None:
@@ -153,11 +153,11 @@ class AuthStage(Stage):
             )
             ctx.halted = True
 
-    def run_batch(self, ctxs: Sequence[UpdateContext], executor) -> None:
+    def run_batch(self, ctxs: Sequence[UpdateContext]) -> None:
         """Batched provenance: verify all signatures up front with the
-        random-linear-combination batch check (workers pinpoint bad
-        signatures on failure).  Stores one verdict per context;
-        failure reasons match the per-update path exactly."""
+        random-linear-combination batch check (per-signature checks
+        pinpoint bad signatures on failure).  Stores one verdict per
+        context; failure reasons match the per-update path exactly."""
         fw = self.framework
         if not (fw.require_signed_updates and len(ctxs) > 1):
             return
@@ -173,8 +173,7 @@ class AuthStage(Stage):
                                   update.body_bytes(), update.signature))
                     positions.append(index)
             if items:
-                verdicts = verify_batch(items, group=SchnorrGroup.default(),
-                                        executor=executor)
+                verdicts = verify_batch(items, group=SchnorrGroup.default())
                 for position, ok in zip(positions, verdicts):
                     if not ok:
                         failures[position] = "bad signature"
@@ -261,10 +260,10 @@ class VerifyStage(Stage):
                 )
         return VerificationOutcome(accepted=True, engine="framework-plaintext")
 
-    def run_batch(self, ctxs: Sequence[UpdateContext], executor) -> None:
+    def run_batch(self, ctxs: Sequence[UpdateContext]) -> None:
         """Arm the batch: the framework-level aggregate cache (plaintext
-        path) or the engine's ``begin_batch`` / ``prepare_batch`` hooks
-        (engines maintain their own caches via ``note_applied``)."""
+        path) or the engine's ``begin_batch`` hook (engines maintain
+        their own caches via ``note_applied``)."""
         fw = self.framework
         engine = fw.engine
         if engine is None:
@@ -274,13 +273,6 @@ class VerifyStage(Stage):
             return
         if hasattr(engine, "begin_batch"):
             engine.begin_batch(len(ctxs))
-        if hasattr(engine, "prepare_batch"):
-            # Timed separately: prepared work happens before the
-            # per-update stage timers, so stage totals alone would
-            # overstate the verify stage's parallel speedup.
-            with fw.metrics.timed("pipeline.prepare_batch"):
-                engine.prepare_batch([ctx.update for ctx in ctxs],
-                                     executor=executor)
 
     def finish_batch(self, ctxs: Sequence[UpdateContext]) -> None:
         """Release the engine's batch state (runs even on a crash
@@ -437,7 +429,7 @@ class AnchorStage(Stage):
         trace.set_status("ok" if ctx.applied else "error")
         trace.end(end)
 
-    def run_batch(self, ctxs: Sequence[UpdateContext], executor) -> None:
+    def run_batch(self, ctxs: Sequence[UpdateContext]) -> None:
         """Amortized anchoring: one Merkle extension for the whole
         batch (halted contexts included — rejections are decisions
         too) and one anchor marker, with per-entry sequence numbers
@@ -452,8 +444,7 @@ class AnchorStage(Stage):
         payloads = [fw._anchor_payload(ctx.update, ctx.outcome, trace=ctx.trace)
                     for ctx in ctxs]
         encoded = [encode_canonical(payload) for payload in payloads]
-        entries = fw.ledger.append_batch(payloads, executor=executor,
-                                         encoded_payloads=encoded)
+        entries = fw.ledger.append_batch(payloads, encoded_payloads=encoded)
         anchor_end = fw._wall.now()
         anchor_elapsed = anchor_end - start
         fw.metrics.timer("pipeline.anchor_batch").record(anchor_elapsed)
@@ -470,10 +461,10 @@ class AnchorStage(Stage):
 class Pipeline:
     """The stage sequence and its batch driver.
 
-    ``run_batch`` arms the batch-amortized stages (batch auth, engine
-    batch hooks), walks each update through the per-update sequence —
-    preserving the verify→log→apply interleaving stateful aggregate
-    caches require — and anchors once.
+    ``run_decided_batch`` arms the batch-amortized stages (batch auth,
+    engine batch hooks), walks each update through the per-update
+    sequence — preserving the verify→log→apply interleaving stateful
+    aggregate caches require — and anchors once.
     """
 
     def __init__(self, framework):
@@ -485,67 +476,26 @@ class Pipeline:
         self.apply = ApplyStage(framework)
         self.anchor = AnchorStage(framework, self.durability)
 
-    def run_batch(self, updates: Sequence[Update],
-                  executor) -> List[UpdateResult]:
-        """Drive a batch through the pipeline (``submit_many``).
-
-        This is the commit point of the staged pipeline, and it is
-        pluggable: with no replication driver (the default — the
-        implicit :class:`~repro.consensus.driver.LocalDriver` path)
-        the batch is its own decided order and runs
-        :meth:`run_decided_batch` directly, byte-identical to the
-        pre-driver pipeline.  With a driver attached, the batch is
-        *proposed*, and durability/apply/anchor run only on the
-        driver's decided batch stream — in the agreed order, which
-        under consensus drivers is the order every other replica of
-        this shard sees too.
-        """
-        fw = self.framework
-        driver = fw.replication
-        if driver is None:
-            return self.run_decided_batch(updates, executor)
-        return self._run_replicated(updates, executor, driver)
-
-    def _run_replicated(self, updates: Sequence[Update], executor,
-                        driver) -> List[UpdateResult]:
-        """Propose the batch, then replay every decided batch the
-        stream yields (ours included) in decided order."""
-        payload = driver.encode_batch(updates)
-        sequence = driver.propose_batch(payload)
-        results = None
-        for decided in driver.committed_stream():
-            batch = driver.decode_batch(decided.payload)
-            out = self.run_decided_batch(batch, executor)
-            if decided.sequence == sequence:
-                results = out
-        if results is None:
-            from repro.common.errors import ProtocolError
-
-            raise ProtocolError(
-                f"replication driver {driver.name!r} never delivered "
-                f"proposed batch {sequence}"
-            )
-        return results
-
-    def run_decided_batch(self, updates: Sequence[Update],
-                          executor) -> List[UpdateResult]:
+    def run_decided_batch(self, updates: Sequence[Update]
+                          ) -> List[UpdateResult]:
         """Run one *decided* batch through the stage sequence,
-        anchoring once.  Everything with externally visible effects —
-        the WAL records (DurabilityStage), database mutation
-        (ApplyStage), and ledger anchoring (AnchorStage) — happens
-        only here, i.e. only on batches the replication layer has
-        decided."""
+        anchoring once (``submit_many``).  Everything with externally
+        visible effects — the WAL records (DurabilityStage), database
+        mutation (ApplyStage), and ledger anchoring (AnchorStage) —
+        happens only here; under replication the batch is one the
+        :class:`~repro.core.replicated.ReplicatedShard`'s driver has
+        decided, replayed into each replica."""
         fw = self.framework
         ctxs = [UpdateContext(update) for update in updates]
         prof = fw.profiler
         if prof is None:
-            self.auth.run_batch(ctxs, executor)
-            self.verify.run_batch(ctxs, executor)
+            self.auth.run_batch(ctxs)
+            self.verify.run_batch(ctxs)
         else:
             with prof.stage("auth_batch"):
-                self.auth.run_batch(ctxs, executor)
+                self.auth.run_batch(ctxs)
             with prof.stage("prepare_batch"):
-                self.verify.run_batch(ctxs, executor)
+                self.verify.run_batch(ctxs)
         try:
             for ctx in ctxs:
                 self._begin(ctx)
@@ -553,10 +503,10 @@ class Pipeline:
         finally:
             self.verify.finish_batch(ctxs)
         if prof is None:
-            self.anchor.run_batch(ctxs, executor)
+            self.anchor.run_batch(ctxs)
         else:
             with prof.stage("anchor_batch"):
-                self.anchor.run_batch(ctxs, executor)
+                self.anchor.run_batch(ctxs)
         return [self._record(ctx) for ctx in ctxs]
 
     def _begin(self, ctx: UpdateContext) -> None:

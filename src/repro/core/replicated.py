@@ -83,15 +83,9 @@ class ReplicatedShard:
 
     def _build_replica(self, index: int) -> PReVer:
         try:
-            framework = self._build(replica=index)
+            return self._build(replica=index)
         except TypeError:
-            framework = self._build()
-        if framework.replication is not None:
-            raise PReVerError(
-                "replica builders must not attach their own replication "
-                "driver — the shard owns the decided stream"
-            )
-        return framework
+            return self._build()
 
     # -- the decided-stream replay ----------------------------------------
 

@@ -6,7 +6,7 @@ apply, and Merkle append.  VAMS scales verifiable audit by
 partitioning the authenticated log; :class:`ShardedPReVer` does the
 same to the Figure-2 pipeline.  Tables are partitioned across N
 independent shards, each a full :class:`~repro.core.framework.PReVer`
-with its **own** ledger, durability policy, and executor:
+with its **own** ledger and durability policy:
 
 * a single-table update routes to its home shard and runs the
   unmodified staged pipeline there — one shard's stream of decisions,

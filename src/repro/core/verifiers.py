@@ -1,7 +1,10 @@
 """Single-database verification engines (Research Challenge 1).
 
 Every engine implements ``verify(update, now) -> VerificationOutcome``
-and declares a leakage profile.  Engines hold their own view of the
+and declares a leakage profile.  Engines with running state (Paillier,
+ZKP, DP index) only *propose* state changes in ``verify``; the caller
+commits them with ``note_applied(update, now)`` once the update is
+applied, as the pipeline's apply stage does.  Engines hold their own view of the
 data (ciphertexts, commitments, sealed rows, noisy histograms) and a
 ``manager_transcript`` list recording exactly what the untrusted
 manager observed, which the leakage tests compare against the profile.
@@ -34,13 +37,8 @@ from repro.core.routing import (
     check_constraint,
 )
 from repro.crypto.commitments import PedersenCommitter
-from repro.crypto.paillier import (
-    PaillierKeyPair,
-    encrypt_batch,
-    generate_paillier_keypair,
-)
+from repro.crypto.paillier import PaillierKeyPair, generate_paillier_keypair
 from repro.crypto import zkp
-from repro.parallel.executors import SERIAL_EXECUTOR
 from repro.model.constraints import Comparison, Constraint
 from repro.model.update import Update
 from repro.obs.tracing import NOOP_TRACER
@@ -72,17 +70,15 @@ class BaseVerifier:
         # under it.  With the default no-op tracer both are free.
         self.tracer = NOOP_TRACER
         self._parent_span = None
-        # Execution layer: serial unless the framework (or a test)
-        # binds a parallel executor; engines use it for order-free
-        # crypto work only (e.g. contribution encryption), never for
-        # the order-dependent aggregate state machine.
-        self.executor = SERIAL_EXECUTOR
+        # State writes the last verified update proposed, as
+        # ``(update, [(state, key, value), ...])``; :meth:`note_applied`
+        # commits them once that update is applied, so a contribution
+        # that a later constraint rejects, or whose apply fails, never
+        # counts.
+        self._pending: Optional[tuple] = None
 
     def bind_tracer(self, tracer) -> None:
         self.tracer = tracer
-
-    def bind_executor(self, executor) -> None:
-        self.executor = executor
 
     def bind_span(self, span) -> None:
         """Parent span for crypto sub-spans of the current update."""
@@ -101,16 +97,28 @@ class BaseVerifier:
     def verify(self, update: Update, now: float) -> VerificationOutcome:
         raise NotImplementedError
 
-    def verify_many(self, updates: Sequence[Update], now: float
-                    ) -> List[VerificationOutcome]:
-        """Verify a batch in order (engines are stateful; order matters)."""
-        return [self.verify(update, now) for update in updates]
+    def _decide(self, update: Update, check,
+                timer: str) -> VerificationOutcome:
+        """Run ``check(constraint, update, writes)`` over the update's
+        constraints in order, timing each under ``timer``.  An
+        accepting check appends the state writes it proposes to
+        ``writes``; they are held for :meth:`note_applied` only when
+        every constraint accepts."""
+        self._pending = None
+        writes: list = []
+        for constraint in self.constraints_for(update):
+            with self.metrics.timed(timer):
+                ok = check(constraint, update, writes)
+            if not ok:
+                return self._outcome(False, failed=constraint.constraint_id)
+        self._pending = (update, writes)
+        return self._outcome(True)
 
     # -- batch lifecycle hooks (no-ops by default) -----------------------
     #
     # ``PReVer.submit_many`` brackets a batch with begin/end and calls
     # ``note_applied`` after each successful database apply, so engines
-    # that read the shared databases can keep incremental state.
+    # keep state only for updates that were actually incorporated.
 
     def begin_batch(self, expected: int = 0) -> None:
         pass
@@ -119,7 +127,13 @@ class BaseVerifier:
         pass
 
     def note_applied(self, update: Update, now: float) -> None:
-        pass
+        """Commit the state writes :meth:`verify` proposed for
+        ``update`` (the engine contract: call this after every
+        successful apply of a verified update)."""
+        pending, self._pending = self._pending, None
+        if pending is not None and pending[0] is update:
+            for state, key, value in pending[1]:
+                state[key] = value
 
     # -- durability hooks (see repro.durability) --------------------------
     #
@@ -236,10 +250,6 @@ class PaillierVerifier(BaseVerifier):
         self._cipher_aggregates: Dict[str, Dict[tuple, object]] = {
             c.constraint_id: {} for c in self.constraints
         }
-        # Batch-prepared contribution ciphertexts, keyed by
-        # (constraint_id, update_id); filled by :meth:`prepare_batch`
-        # under a parallel executor, drained by :meth:`_check_one`.
-        self._prepared: Dict[tuple, object] = {}
 
     def _group_key(self, constraint: Constraint, update: Update) -> tuple:
         return tuple(
@@ -251,80 +261,22 @@ class PaillierVerifier(BaseVerifier):
         fixed = int(round(contribution * self.scale))
         return self.keypair.public_key.encrypt_signed(fixed), fixed
 
-    def precompute(self, updates_expected: int, rng=None,
-                   executor=None) -> int:
+    def precompute(self, updates_expected: int, rng=None) -> int:
         """Offline phase: bank ``r^n mod n²`` obfuscators for the next
         ``updates_expected`` updates (one encryption per constraint
-        each).  Returns the resulting pool size.  The exponentiations
-        chunk across the engine's executor workers by default; the
-        resulting pool stays in this process."""
-        executor = executor if executor is not None else self.executor
+        each).  Returns the resulting pool size."""
         return self.keypair.public_key.precompute_randomness(
             updates_expected * max(1, len(self.constraints)), rng=rng,
-            executor=executor,
         )
-
-    # -- batch hooks ------------------------------------------------------
-
-    def begin_batch(self, expected: int = 0) -> None:
-        self._prepared = {}
-
-    def end_batch(self) -> None:
-        self._prepared = {}
-
-    def prepare_batch(self, updates: Sequence[Update],
-                      executor=None) -> None:
-        """Encrypt every update's per-constraint contribution up front,
-        chunked across executor workers.
-
-        Contribution encryption is the order-independent half of the
-        Paillier check (the decrypt-and-compare half walks the running
-        aggregate and stays serial), so fanning it out preserves
-        decision equivalence exactly: ciphertext *randomness* differs,
-        but decisions depend only on decrypted sums.  Contributions out
-        of signed range are left unprepared so the serial path raises
-        at the same point it always did.
-        """
-        executor = executor if executor is not None else self.executor
-        if not getattr(executor, "parallel", False):
-            return  # inline encryption is already optimal serially
-        keys, values = [], []
-        half = self.keypair.public_key.n // 2
-        for update in updates:
-            for constraint in self.constraints_for(update):
-                contribution = constraint.aggregate.contribution_of(
-                    update.payload
-                )
-                fixed = int(round(contribution * self.scale))
-                if abs(fixed) >= half:
-                    continue
-                keys.append((constraint.constraint_id, update.update_id))
-                values.append(fixed)
-        if not keys:
-            return
-        ciphertexts = encrypt_batch(
-            self.keypair.public_key, values, signed=True, executor=executor
-        )
-        self.metrics.counter("paillier.prepared_contributions").add(len(keys))
-        self._prepared.update(zip(keys, ciphertexts))
 
     def verify(self, update: Update, now: float) -> VerificationOutcome:
-        for constraint in self.constraints_for(update):
-            with self.metrics.timed("paillier.check"):
-                ok = self._check_one(constraint, update)
-            if not ok:
-                return self._outcome(False, failed=constraint.constraint_id)
-        return self._outcome(True)
+        return self._decide(update, self._check_one, "paillier.check")
 
-    def _check_one(self, constraint: Constraint, update: Update) -> bool:
+    def _check_one(self, constraint: Constraint, update: Update,
+                   writes: list) -> bool:
         group = self._group_key(constraint, update)
         tracing = self.tracer.enabled
-        prepared = self._prepared.pop(
-            (constraint.constraint_id, update.update_id), None
-        ) if self._prepared else None
-        if prepared is not None:
-            ciphertext = prepared
-        elif tracing:
+        if tracing:
             with self.tracer.span("paillier.encrypt",
                                   parent=self._parent_span,
                                   constraint=constraint.constraint_id):
@@ -350,7 +302,7 @@ class PaillierVerifier(BaseVerifier):
             plaintext / self.scale, float(constraint.bound)
         )
         if accepted:
-            aggregates[group] = proposed
+            writes.append((aggregates, group, proposed))
         return accepted
 
     def apply_to_store(self, update: Update) -> None:
@@ -483,14 +435,10 @@ class ZKPVerifier(BaseVerifier):
         }
 
     def verify(self, update: Update, now: float) -> VerificationOutcome:
-        for constraint in self.constraints_for(update):
-            with self.metrics.timed("zkp.check"):
-                ok = self._check_one(constraint, update)
-            if not ok:
-                return self._outcome(False, failed=constraint.constraint_id)
-        return self._outcome(True)
+        return self._decide(update, self._check_one, "zkp.check")
 
-    def _check_one(self, constraint: Constraint, update: Update) -> bool:
+    def _check_one(self, constraint: Constraint, update: Update,
+                   writes: list) -> bool:
         group = tuple(
             update.payload.get(col) for col in constraint.aggregate.match_columns
         )
@@ -532,8 +480,9 @@ class ZKPVerifier(BaseVerifier):
         accepted = verify(self.committer, commitment, proof)
         self.metrics.counter("zkp.proofs_verified").add()
         if accepted:
-            self._commitments[constraint.constraint_id][group] = commitment
-            secrets[group] = (new_total, randomness)
+            writes.append((self._commitments[constraint.constraint_id],
+                           group, commitment))
+            writes.append((secrets, group, (new_total, randomness)))
         return accepted
 
 
@@ -614,10 +563,10 @@ class DPIndexVerifier(BaseVerifier):
         proposed = noisy_total + contribution
         accepted = constraint.comparison.apply(proposed, float(constraint.bound))
         self._observe(("noisy_total", round(noisy_total, 3)))
-        if accepted:
-            self._noisy_totals[group] = proposed
         if not accepted:
+            self._pending = None
             return self._outcome(False, failed=constraint.constraint_id)
+        self._pending = (update, [(self._noisy_totals, group, proposed)])
         return self._outcome(True)
 
     def _refresh_group(self, constraint: Constraint, update: Update,

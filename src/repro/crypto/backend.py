@@ -19,9 +19,8 @@ this module, which provides three things:
    ~``bits/window`` modular multiplications with *no squarings* —
    measurably faster than CPython's C ``pow`` even from pure python
    (~3-5x at 256 bits with the default window).  Tables live in a
-   bounded per-process cache: executor workers rebuild them lazily the
-   way PR 3's key handles re-derive CRT constants, so nothing here is
-   ever pickled.
+   bounded per-process cache: each process (a process shard, say)
+   builds its own lazily, so nothing here is ever pickled.
 
 3. **Simultaneous multi-exponentiation** (:func:`multi_exp`,
    Straus/interleaved).  ``Π base_i^{e_i} mod m`` over many pairs
@@ -295,8 +294,8 @@ def fixed_base(base: int, modulus: int, max_bits: int,
     long-lived: group generators, engine public keys).  Otherwise the
     first sighting returns a plain-``powmod`` fallback and the table is
     built from the second sighting on, so one-shot bases never pay the
-    build cost.  The cache is per-process and LRU-bounded; executor
-    worker processes each grow their own (tables are never pickled).
+    build cost.  The cache is per-process and LRU-bounded; process
+    shards each grow their own (tables are never pickled).
     """
     key = (base, modulus)
     table = _FB_TABLES.get(key)

@@ -25,22 +25,18 @@ Plaintexts are integers modulo ``n``; negative values are represented
 in the upper half of the range (two's-complement style) and mapped back
 by :meth:`decrypt_signed`.
 
-Multicore batch API (:func:`encrypt_batch`, :func:`decrypt_batch`,
-:func:`fold_ciphertexts`): chunk functions operate on plain integers so
-work pickles cheaply across :mod:`repro.parallel` workers, and each
-worker process rebuilds/caches its key objects from ``(n)`` or
-``(n, p, q)`` locally.  Keys themselves pickle as just their defining
-integers (``__reduce__``), so the precomputed randomness pool — which
-is mutable, per-process state — is never shared across workers.
+Keys pickle as just their defining integers (``__reduce__``), so a
+shard builder shipped to a process shard can carry its keypair while
+the precomputed randomness pool — mutable, per-process state — never
+crosses a process boundary.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import PReVerError
 from repro.common.randomness import SystemRandomSource
-from repro.crypto.backend import multi_exp, powmod
+from repro.crypto.backend import powmod
 from repro.crypto.numbers import (
     generate_prime,
     lcm,
@@ -58,9 +54,9 @@ class PaillierError(PReVerError):
 def _obfuscate(n: int, n_sq: int, r: int) -> int:
     """``r^n mod n²`` — the one obfuscator exponentiation.
 
-    Every encryption path (pool precompute, pool miss, executor chunk
-    workers) funnels through here, so the fast-math backend applies
-    uniformly and the formula exists in exactly one place.  Fixed-base
+    Every encryption path (pool precompute, pool miss) funnels through
+    here, so the fast-math backend applies uniformly and the formula
+    exists in exactly one place.  Fixed-base
     tables do not help: the *base* ``r`` is fresh per call; only the
     exponent ``n`` is fixed.
     """
@@ -81,12 +77,12 @@ class PaillierPublicKey:
         object.__setattr__(self, "_r_pool_head", 0)
 
     def __reduce__(self):
-        # Pickling-cheap key handle: a worker process reconstructs the
+        # Pickling-cheap key handle: another process reconstructs the
         # key from ``n`` alone and re-derives n².  The randomness pool
         # deliberately does not travel — it is mutable per-process
-        # state, and sharing one pool across executor workers would
-        # both reuse obfuscators (a security bug) and desynchronize
-        # the deterministic drain order.  Pools are per-process.
+        # state, and sharing one pool across processes would both
+        # reuse obfuscators (a security bug) and desynchronize the
+        # deterministic drain order.  Pools are per-process.
         return (PaillierPublicKey, (self.n,))
 
     @property
@@ -103,33 +99,19 @@ class PaillierPublicKey:
 
     # -- precomputed-randomness pool (offline phase) ---------------------
 
-    def precompute_randomness(self, count: int, rng=None,
-                              executor=None) -> int:
+    def precompute_randomness(self, count: int, rng=None) -> int:
         """Generate ``count`` obfuscators ``r^n mod n²`` ahead of time.
 
         This is the expensive part of encryption; banking it offline
         makes the online :meth:`encrypt` two multiplications.  Returns
-        the resulting pool size.
-
-        The ``r`` values are always drawn serially (so a seeded ``rng``
-        yields a reproducible pool); the heavy ``r^n mod n²``
-        exponentiations are chunked across ``executor`` workers when
-        one is given.  The pool belongs to *this* process: the key's
-        pickled form excludes it, so executor workers never see or
-        drain it.
+        the resulting pool size.  A seeded ``rng`` yields a
+        reproducible pool.  The pool belongs to *this* process: the
+        key's pickled form excludes it.
         """
         rng = rng or SystemRandomSource()
         n, n_sq = self.n, self._n_sq
-        rs = [random_coprime(n, rng=rng) for _ in range(count)]
-        if executor is not None and getattr(executor, "parallel", False):
-            obfuscators = executor.map_chunks(
-                _obfuscator_chunk,
-                [(n, r) for r in rs],
-                label="paillier.precompute",
-            )
-        else:
-            obfuscators = [_obfuscate(n, n_sq, r) for r in rs]
-        self._r_pool.extend(obfuscators)
+        self._r_pool.extend(_obfuscate(n, n_sq, random_coprime(n, rng=rng))
+                            for _ in range(count))
         return self.randomness_pool_size
 
     @property
@@ -143,9 +125,9 @@ class PaillierPublicKey:
 
         The pool drains FIFO via a head index: consumption order
         matches :meth:`precompute_randomness` generation order, so a
-        seeded pool produces a deterministic ciphertext stream in
-        serial mode (the old LIFO ``pop()`` reversed it), and the
-        drain is O(1) without list shifting.
+        seeded pool produces a deterministic ciphertext stream (the
+        old LIFO ``pop()`` reversed it), and the drain is O(1) without
+        list shifting.
         """
         if rng is None and self._r_pool_head < len(self._r_pool):
             head = self._r_pool_head
@@ -207,9 +189,8 @@ class PaillierPrivateKey:
 
     def __reduce__(self):
         # Like the public key: pickle only the defining integers and
-        # re-derive the CRT precomputation on the worker side (a few
-        # half-size modular operations, amortized by the per-process
-        # key cache in the batch chunk functions).
+        # re-derive the CRT precomputation on unpickling (a few
+        # half-size modular operations).
         return (PaillierPrivateKey, (self.public_key, self.p, self.q))
 
     def _check_key(self, ciphertext: "PaillierCiphertext") -> None:
@@ -323,219 +304,6 @@ class PaillierCiphertext:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PaillierCiphertext(<{self.value % 10**8}...>)"
-
-
-# -- multicore batch operations ---------------------------------------------
-#
-# Chunk functions run inside repro.parallel workers.  They take/return
-# plain integers (pickling-cheap) and rebuild key objects from their
-# defining integers, cached per process so a worker derives CRT
-# parameters once however many chunks it serves.
-
-_WORKER_PUBLIC_KEYS: Dict[int, PaillierPublicKey] = {}
-_WORKER_PRIVATE_KEYS: Dict[Tuple[int, int], PaillierPrivateKey] = {}
-
-
-def _worker_public_key(n: int) -> PaillierPublicKey:
-    key = _WORKER_PUBLIC_KEYS.get(n)
-    if key is None:
-        key = _WORKER_PUBLIC_KEYS[n] = PaillierPublicKey(n=n)
-    return key
-
-
-def _worker_private_key(p: int, q: int) -> PaillierPrivateKey:
-    key = _WORKER_PRIVATE_KEYS.get((p, q))
-    if key is None:
-        key = PaillierPrivateKey(
-            public_key=PaillierPublicKey(n=p * q), p=p, q=q
-        )
-        _WORKER_PRIVATE_KEYS[(p, q)] = key
-    return key
-
-
-def _obfuscator_chunk(items: List[Tuple[int, int]]) -> List[int]:
-    """``[(n, r), ...] -> [r^n mod n², ...]`` (the precompute hot loop)."""
-    out = []
-    for n, r in items:
-        out.append(_obfuscate(n, _worker_public_key(n).n_squared, r))
-    return out
-
-
-def _encrypt_chunk(items: List[Tuple[int, int, Optional[int]]]) -> List[int]:
-    """``[(n, m, r_or_None), ...] -> [ciphertext value, ...]``.
-
-    ``r`` is pre-drawn when the caller wants deterministic randomness
-    (seeded rng); ``None`` means the worker draws its own from the OS
-    CSPRNG — each process independently, never a shared pool.
-    """
-    out = []
-    for n, m, r in items:
-        key = _worker_public_key(n)
-        n_sq = key.n_squared
-        if r is None:
-            obfuscator = key._obfuscator()
-        else:
-            obfuscator = _obfuscate(n, n_sq, r)
-        out.append(((1 + n * (m % n)) % n_sq) * obfuscator % n_sq)
-    return out
-
-
-def _decrypt_chunk(items: List[Tuple[int, int, int]]) -> List[int]:
-    """``[(p, q, c), ...] -> [m, ...]`` via the CRT fast path."""
-    out = []
-    for p, q, c in items:
-        out.append(_worker_private_key(p, q)._decrypt_crt_value(c))
-    return out
-
-
-def _fold_chunk(items: List[Tuple[int, int]]) -> List[int]:
-    """``[(n, c), ...] -> [product of the chunk's c mod n²]``.
-
-    One partial product per chunk; the caller combines the partials
-    serially, so the homomorphic sum is associative-regrouped but
-    value-identical to a serial left fold.
-    """
-    n = items[0][0]
-    n_sq = _worker_public_key(n).n_squared
-    acc = 1
-    for _, c in items:
-        acc = acc * c % n_sq
-    return [acc]
-
-
-def _weighted_fold_chunk(items: List[Tuple[int, int, int]]) -> List[int]:
-    """``[(n, c, w), ...] -> [Π c^w mod n²]`` via one simultaneous
-    multi-exponentiation (shared Straus squaring chain per chunk)."""
-    n = items[0][0]
-    n_sq = _worker_public_key(n).n_squared
-    return [multi_exp([(c, w) for _, c, w in items], n_sq)]
-
-
-def encrypt_batch(
-    public_key: PaillierPublicKey,
-    plaintexts: Sequence[int],
-    signed: bool = False,
-    executor=None,
-    rng=None,
-) -> List["PaillierCiphertext"]:
-    """Encrypt many plaintexts, chunked across executor workers.
-
-    With a seeded ``rng`` the obfuscator randomness is drawn serially
-    up front, so the resulting ciphertext list is identical whichever
-    executor runs the exponentiations.  Without one, serial execution
-    drains this process's randomness pool (FIFO) exactly as repeated
-    :meth:`PaillierPublicKey.encrypt` calls would, and parallel workers
-    draw fresh CSPRNG randomness locally.
-    """
-    plaintexts = list(plaintexts)
-    if signed:
-        half = public_key.n // 2
-        for m in plaintexts:
-            if abs(m) >= half:
-                raise PaillierError("signed plaintext out of range")
-    if executor is None or not getattr(executor, "parallel", False):
-        method = public_key.encrypt_signed if signed else public_key.encrypt
-        return [method(m, rng=rng) for m in plaintexts]
-    n = public_key.n
-    if rng is not None:
-        items = [(n, m % n, random_coprime(n, rng=rng)) for m in plaintexts]
-    else:
-        items = [(n, m % n, None) for m in plaintexts]
-    values = executor.map_chunks(_encrypt_chunk, items,
-                                 label="paillier.encrypt")
-    return [PaillierCiphertext(public_key=public_key, value=v)
-            for v in values]
-
-
-def decrypt_batch(
-    private_key: PaillierPrivateKey,
-    ciphertexts: Sequence["PaillierCiphertext"],
-    signed: bool = False,
-    executor=None,
-) -> List[int]:
-    """Decrypt many ciphertexts, chunked across executor workers.
-
-    Bit-identical to per-ciphertext :meth:`PaillierPrivateKey.decrypt`
-    (or ``decrypt_signed``) in order, including the non-coprime
-    rejection, which surfaces from worker processes unchanged.
-    """
-    ciphertexts = list(ciphertexts)
-    for ciphertext in ciphertexts:
-        private_key._check_key(ciphertext)
-    if executor is None or not getattr(executor, "parallel", False):
-        method = (private_key.decrypt_signed if signed
-                  else private_key.decrypt)
-        return [method(c) for c in ciphertexts]
-    p, q = private_key.p, private_key.q
-    values = executor.map_chunks(
-        _decrypt_chunk, [(p, q, c.value) for c in ciphertexts],
-        label="paillier.decrypt",
-    )
-    if not signed:
-        return values
-    n = private_key.public_key.n
-    half = n // 2
-    return [v - n if v > half else v for v in values]
-
-
-def fold_ciphertexts(
-    ciphertexts: Sequence["PaillierCiphertext"],
-    public_key: Optional[PaillierPublicKey] = None,
-    executor=None,
-    weights: Optional[Sequence[int]] = None,
-) -> "PaillierCiphertext":
-    """Homomorphically sum a batch: partial products per worker chunk,
-    combined serially (modular multiplication is associative, so the
-    result equals the serial left fold bit-for-bit).
-
-    With ``weights`` the result encrypts the weighted sum ``Σ w_i·m_i``
-    (``Π c_i^{w_i} mod n²``), computed with simultaneous
-    multi-exponentiation — one shared squaring chain per chunk instead
-    of one full exponentiation per ciphertext.  Weights are reduced
-    modulo ``n``, matching ``ciphertext * w`` semantics.
-
-    An empty batch returns the multiplicative identity ciphertext
-    (``c = 1``, an encryption of 0 with unit randomness) and requires
-    ``public_key``.
-    """
-    ciphertexts = list(ciphertexts)
-    if not ciphertexts:
-        if public_key is None:
-            raise PaillierError("empty fold needs an explicit public key")
-        return PaillierCiphertext(public_key=public_key, value=1)
-    public_key = ciphertexts[0].public_key
-    for ciphertext in ciphertexts:
-        if ciphertext.public_key.n != public_key.n:
-            raise PaillierError("cannot fold ciphertexts under different keys")
-    n, n_sq = public_key.n, public_key.n_squared
-    if weights is not None:
-        weights = [w % n for w in weights]
-        if len(weights) != len(ciphertexts):
-            raise PaillierError("weights must match ciphertexts 1:1")
-        items = [(n, c.value, w) for c, w in zip(ciphertexts, weights)]
-        if executor is None or not getattr(executor, "parallel", False):
-            partials = _weighted_fold_chunk(items)
-        else:
-            partials = executor.map_chunks(
-                _weighted_fold_chunk, items, label="paillier.fold",
-            )
-        acc = 1
-        for partial in partials:
-            acc = acc * partial % n_sq
-        return PaillierCiphertext(public_key=public_key, value=acc)
-    if executor is None or not getattr(executor, "parallel", False):
-        acc = 1
-        for ciphertext in ciphertexts:
-            acc = acc * ciphertext.value % n_sq
-        return PaillierCiphertext(public_key=public_key, value=acc)
-    partials = executor.map_chunks(
-        _fold_chunk, [(n, c.value) for c in ciphertexts],
-        label="paillier.fold",
-    )
-    acc = 1
-    for partial in partials:
-        acc = acc * partial % n_sq
-    return PaillierCiphertext(public_key=public_key, value=acc)
 
 
 def generate_paillier_keypair(bits: int = DEFAULT_KEY_BITS, rng=None) -> PaillierKeyPair:

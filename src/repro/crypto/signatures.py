@@ -17,8 +17,6 @@ A forged signature makes the combined equation fail except with
 probability ~2^-128 over the ``z_i``; on failure the batch falls back
 to per-signature verification to pinpoint the culprits, so the result
 vector always equals per-signature :meth:`SchnorrVerifier.verify`.
-Both the product accumulation and the fallback chunk across
-:mod:`repro.parallel` workers.
 """
 
 from collections import OrderedDict
@@ -132,45 +130,9 @@ _BATCH_EXPONENT_BITS = 128
 BatchItem = Tuple[int, bytes, SchnorrSignature]
 
 
-def _verify_chunk(items: List[tuple]) -> List[bool]:
-    """Worker: per-signature verification for a chunk.
-
-    Items are ``(p, q, g, pk, message, R, s)`` integer/bytes tuples;
-    the worker reassembles group and verifier objects through the
-    per-process :func:`cached_verifier` LRU.
-    """
-    out = []
-    for p, q, g, pk, message, commitment, response in items:
-        verifier = cached_verifier(SchnorrGroup(p=p, q=q, g=g), pk)
-        out.append(verifier.verify(
-            message, SchnorrSignature(commitment=commitment,
-                                      response=response)
-        ))
-    return out
-
-
-def _rlc_chunk(items: List[tuple]) -> List[int]:
-    """Worker: partial product ``Π R^z · pk^(e·z) mod p`` for a chunk,
-    via one simultaneous multi-exponentiation over the chunk's bases
-    (all of them share a single Straus squaring chain).
-
-    Exponents ``e·z`` are deliberately *not* reduced mod q: a hostile
-    public key outside the order-q subgroup would make the reduced and
-    unreduced forms disagree, and the unreduced form is the one that
-    equals the individually-verified equations raised to ``z``.
-    """
-    p = items[0][0]
-    pairs = []
-    for _p, commitment, z, pk, ez in items:
-        pairs.append((commitment, z))
-        pairs.append((pk, ez))
-    return [multi_exp(pairs, p)]
-
-
 def verify_batch(
     items: Sequence[BatchItem],
     group: Optional[SchnorrGroup] = None,
-    executor=None,
     rng=None,
 ) -> List[bool]:
     """Verify a batch of ``(public_key, message, signature)`` items.
@@ -182,10 +144,16 @@ def verify_batch(
        (cheap Legendre check for safe-prime groups);
     2. the rest go through one random-linear-combination equation — on
        success (the overwhelmingly common all-valid case) everything is
-       accepted with one ``g`` exponentiation plus ~1.5 per signature,
-       chunked across executor workers;
-    3. on failure, per-signature verification (also chunked across
-       workers) pinpoints exactly which signatures are bad.
+       accepted with one ``g`` exponentiation plus one simultaneous
+       multi-exponentiation over every ``R_i`` and ``pk_i`` (one
+       shared Straus squaring chain);
+    3. on failure, per-signature verification pinpoints exactly which
+       signatures are bad.
+
+    Exponents ``e·z`` are deliberately *not* reduced mod q: a hostile
+    public key outside the order-q subgroup would make the reduced and
+    unreduced forms disagree, and the unreduced form is the one that
+    equals the individually-verified equations raised to ``z``.
     """
     items = list(items)
     if not items:
@@ -194,7 +162,7 @@ def verify_batch(
     if len(items) == 1:
         pk, message, signature = items[0]
         return [cached_verifier(group, pk).verify(message, signature)]
-    p, q, g = group.p, group.q, group.g
+    q = group.q
     rng = rng or SystemRandomSource()
 
     results: List[Optional[bool]] = [None] * len(items)
@@ -212,29 +180,17 @@ def verify_batch(
         return [bool(r) for r in results]
 
     lhs = group.power_of_g(s_combined)
-    partials = _map(executor, _rlc_chunk, [
-        (p, signature.commitment, z, pk, e * z)
-        for (_, pk, _, e, z, signature) in candidates
-    ], label="schnorr.batch")
-    rhs = 1
-    for partial in partials:
-        rhs = rhs * partial % p
-    if lhs == rhs:
+    pairs = []
+    for _, pk, _, e, z, signature in candidates:
+        pairs.append((signature.commitment, z))
+        pairs.append((pk, e * z))
+    if lhs == multi_exp(pairs, group.p):
         for index, *_ in candidates:
             results[index] = True
         return [bool(r) for r in results]
 
     # Combined equation failed: pinpoint with per-signature checks.
-    verdicts = _map(executor, _verify_chunk, [
-        (p, q, g, pk, message, signature.commitment, signature.response)
-        for (_, pk, message, _, _, signature) in candidates
-    ], label="schnorr.pinpoint")
-    for (index, *_), verdict in zip(candidates, verdicts):
-        results[index] = verdict
+    for index, pk, message, _, _, signature in candidates:
+        results[index] = cached_verifier(group, pk).verify(message,
+                                                           signature)
     return [bool(r) for r in results]
-
-
-def _map(executor, fn, work, label):
-    if executor is None or not getattr(executor, "parallel", False):
-        return fn(work) if work else []
-    return executor.map_chunks(fn, work, label=label)

@@ -15,8 +15,8 @@ is attached.
 * :mod:`repro.obs.export` — Prometheus text format and a stable JSON
   schema for :class:`~repro.common.metrics.MetricsRegistry`;
 * :mod:`repro.obs.aggregate` — picklable :class:`TelemetryDelta`
-  snapshots merging worker-process and shard-child telemetry into the
-  coordinator registry;
+  snapshots merging process-shard telemetry into the coordinator
+  registry;
 * :mod:`repro.obs.server` — the live ops endpoint (``/metrics``,
   ``/metrics.json``, ``/healthz``, ``/readyz``, ``/trace/<id>``);
 * :mod:`repro.obs.profiler` — the opt-in (``REPRO_PROFILE=wall|cpu``)
@@ -27,7 +27,6 @@ from repro.obs.aggregate import (
     DeltaTracker,
     TelemetryDelta,
     merge_delta,
-    worker_metrics,
 )
 from repro.obs.events import EventLog
 from repro.obs.export import (
@@ -56,6 +55,5 @@ __all__ = [
     "profiler_from_env",
     "start_ops_server",
     "to_prometheus",
-    "worker_metrics",
     "write_metrics_json",
 ]

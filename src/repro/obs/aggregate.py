@@ -1,32 +1,22 @@
 """Cross-process telemetry aggregation.
 
-:class:`~repro.parallel.executors.ParallelExecutor` workers and
-:class:`~repro.parallel.shards.ShardWorker` children used to be
-telemetry black holes: whatever they counted or timed died with the
-call, and the coordinator's registry only ever saw coordinator-side
-work.  This module closes the gap with three picklable pieces:
+A :class:`~repro.parallel.shards.ShardWorker` child runs its shard's
+whole pipeline in another process, so whatever it counts or times
+lives in that process's registry.  This module brings it back to the
+coordinator with three picklable pieces:
 
 * :class:`TelemetryDelta` — a serializable increment of one registry's
   counters / gauges / timers / histograms plus any finished span dicts,
   cheap enough to ride back alongside results;
 * :class:`DeltaTracker` — computes successive deltas against a live
-  registry (and optionally a recording tracer), so long-lived workers
-  ship only what happened since the last capture;
+  registry (and optionally a recording tracer), so a long-lived shard
+  ships only what happened since the last capture;
 * :func:`merge_delta` — folds a delta into a coordinator registry under
-  a per-worker / per-shard label prefix, surfacing worker-side spans as
+  a per-shard label prefix, surfacing shard-side spans as
   ``<label>.span.<name>`` timers so they show up in ``/metrics``.
-
-:func:`instrumented_chunk` is the pool-side entry point: a top-level
-(hence picklable) wrapper the parallel executor submits instead of the
-raw chunk function when a metrics registry is bound.  It runs the chunk
-against the module-level worker registry (:func:`worker_metrics`),
-records chunk/item counters and a chunk timer, and returns
-``(results, delta, pid)``.
 """
 
-import os
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Dict, List, Tuple
 
 from repro.common.metrics import MetricsRegistry
@@ -60,9 +50,9 @@ class DeltaTracker:
     ``origin=True`` baselines at zero, so the first capture returns
     everything the registry has ever recorded — what a long-lived shard
     wants.  ``origin=False`` baselines at the registry's current state,
-    so a capture covers exactly the activity since construction — what
-    a per-call chunk wrapper wants.  Either way, every capture advances
-    the baseline, so repeated captures never double-count.
+    so a capture covers exactly the activity since construction.
+    Either way, every capture advances the baseline, so repeated
+    captures never double-count.
     """
 
     def __init__(self, registry: MetricsRegistry, tracer=None,
@@ -135,10 +125,10 @@ def merge_delta(registry: MetricsRegistry, delta: TelemetryDelta,
                 prefix: str = "") -> None:
     """Fold one delta into ``registry`` under a label prefix.
 
-    ``prefix`` is typically ``worker.w0`` or ``shard.accounts``; every
+    ``prefix`` is typically ``shard.accounts``; every
     merged metric lands at ``<prefix>.<name>``.  Counter counts/totals
     add, timer samples extend (percentiles stay exact), histogram
-    buckets add bucket-wise, gauges take the worker's latest value, and
+    buckets add bucket-wise, gauges take the shard's latest value, and
     spans surface as one ``<prefix>.span.<name>`` timer sample each.
     """
     label = f"{prefix}." if prefix and not prefix.endswith(".") else prefix
@@ -164,36 +154,3 @@ def merge_delta(registry: MetricsRegistry, delta: TelemetryDelta,
         duration = span.get("duration") or 0.0
         registry.timer(f"{label}span.{name}").record(duration)
 
-
-# -- worker-process side ----------------------------------------------------
-
-#: One registry per worker process: chunk wrappers (and any chunk
-#: function that wants to record worker-side telemetry) write here, and
-#: deltas of it ride back to the coordinator with the results.
-_WORKER_METRICS = MetricsRegistry()
-
-
-def worker_metrics() -> MetricsRegistry:
-    """The calling process's worker-side registry (coordinator-merged
-    whenever a telemetry-collecting executor ran the current chunk)."""
-    return _WORKER_METRICS
-
-
-def instrumented_chunk(fn, chunk) -> tuple:
-    """(worker) Run ``fn(chunk)`` and capture its telemetry delta.
-
-    Top-level so it pickles into pool workers.  Records the chunk's
-    wall time plus chunk/item counters into :func:`worker_metrics`,
-    then returns ``(results, delta, pid)`` — the delta covering
-    exactly this call, the pid letting the coordinator assign a stable
-    per-worker label.
-    """
-    registry = _WORKER_METRICS
-    tracker = DeltaTracker(registry)
-    start = perf_counter()
-    out = list(fn(chunk))
-    elapsed = perf_counter() - start
-    registry.counter("parallel.worker.chunks").add()
-    registry.counter("parallel.worker.items").add(len(chunk))
-    registry.timer("parallel.worker.chunk_seconds").record(elapsed)
-    return out, tracker.capture(), os.getpid()

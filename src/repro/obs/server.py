@@ -7,13 +7,13 @@ framework (:class:`~repro.core.framework.PReVer` or
 ``/metrics``
     Prometheus text exposition of the coordinator registry.  When the
     target exposes ``collect_telemetry()`` (the sharded front-end), the
-    scrape first pulls per-shard/per-worker deltas, so worker-side
-    counters and spans appear under their labels.
+    scrape first pulls per-shard deltas, so counters and spans recorded
+    in process shards appear under their ``shard.<name>`` labels.
 ``/metrics.json``
     The versioned JSON schema (:func:`repro.obs.export.metrics_to_json`).
 ``/healthz``
-    Liveness: WAL writability, executor pool liveness, ledger
-    reachability — HTTP 200 when every check passes, 503 otherwise.
+    Liveness: WAL writability and ledger reachability — HTTP 200 when
+    every check passes, 503 otherwise.
 ``/readyz``
     Readiness: everything ``/healthz`` checks plus the ledger-root vs
     last-anchored-root consistency check.

@@ -1,47 +1,12 @@
-"""Pluggable multicore execution for the crypto-heavy pipeline stages.
+"""Multicore scale-out: process-pinned shard workers.
 
-After the batching work, the verify stage dominates wall time and runs
-entirely on one core: every big-int operation (Paillier ``pow``,
-Schnorr verification, Merkle SHA-256) is serial under the GIL.  This
-package provides the execution layer those stages plug into:
-
-* :class:`SerialExecutor` — the default; runs chunk functions inline
-  in the calling process, byte-for-byte the pre-existing behaviour;
-* :class:`ParallelExecutor` — fans chunks out to a shared
-  ``ProcessPoolExecutor`` and reassembles results in order.
-
-Call sites never branch on the executor type: they hand a *chunk
-function* (top-level, pickling-cheap arguments) to
-:meth:`~Executor.map_chunks` and get the concatenated results back in
-input order, so serial and parallel execution are decision- and
-digest-equivalent by construction.
-
-Executor selection is explicit (``PReVer(executor=...)``) or
-environment-driven (``REPRO_EXECUTOR={serial,process}``,
-``REPRO_WORKERS=N``) so CI can exercise the process-pool path without
-code changes.
+In-node execution is serial: every pipeline stage, including the
+crypto (Paillier, Schnorr, Merkle), runs inline in the calling thread.
+A host's other cores are used by running shards in their own processes
+(``ShardedPReVer(dispatch="process")``), each shard a long-lived
+:class:`ShardWorker` child holding its own ``PReVer``.
 """
 
-from repro.parallel.executors import (
-    SERIAL_EXECUTOR,
-    Executor,
-    ParallelExecutor,
-    SerialExecutor,
-    executor_from_env,
-    make_executor,
-    resolve_executor,
-    split_chunks,
-)
 from repro.parallel.shards import ShardWorker
 
-__all__ = [
-    "Executor",
-    "SerialExecutor",
-    "ParallelExecutor",
-    "SERIAL_EXECUTOR",
-    "ShardWorker",
-    "executor_from_env",
-    "make_executor",
-    "resolve_executor",
-    "split_chunks",
-]
+__all__ = ["ShardWorker"]

@@ -1,10 +1,9 @@
 """Process-backed shard workers: stateful task pinning for scale-out.
 
-:class:`~repro.parallel.executors.ParallelExecutor` fans *stateless*
-chunk functions across a shared pool — fine for crypto work, useless
-for a shard, which is a long-lived stateful ``PReVer`` (tables, ledger
-Merkle frontier, WAL handles, engine caches).  A shard's state must
-live in exactly one process for its whole lifetime.
+Process shards are the only multicore path: in-node execution is
+serial.  A shard is a long-lived stateful ``PReVer`` (tables, ledger
+Merkle frontier, WAL handles, engine caches), so its state must live
+in exactly one process for its whole lifetime.
 
 :class:`ShardWorker` provides that pinning by construction: each
 worker owns a *dedicated single-process* ``ProcessPoolExecutor``, so

@@ -125,6 +125,26 @@ def test_metrics_counters_and_timers():
     assert snap["timers"]["t"]["n"] == 3
 
 
+def test_throughput_report_rates_use_stage_wall_time():
+    registry = MetricsRegistry()
+    for _ in range(4):
+        registry.counter("pipeline.updates").add()
+        registry.timer("pipeline.stage.verify").record(0.5)
+        registry.timer("pipeline.stage.apply").record(0.25)
+    report = registry.throughput_report()
+    verify = report["stages"]["verify"]
+    apply_ = report["stages"]["apply"]
+    # Per-stage rate comes from that stage's own wall time, not the
+    # summed elapsed across stages (which would report 4/3 for both).
+    assert verify["per_sec"] == pytest.approx(4 / 2.0)
+    assert apply_["per_sec"] == pytest.approx(4 / 1.0)
+    assert report["total_seconds"] == pytest.approx(3.0)
+    assert report["updates_per_sec"] == pytest.approx(4 / 3.0)
+    # A stage that never fired reports a zero rate, not a crash.
+    registry.timer("pipeline.stage.idle")
+    assert registry.throughput_report()["stages"]["idle"]["per_sec"] == 0.0
+
+
 def test_metrics_timed_context():
     metrics = MetricsRegistry()
     with metrics.timed("block"):

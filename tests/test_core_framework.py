@@ -53,6 +53,17 @@ def test_pipeline_accept_apply_anchor():
                                          "anchor"}
 
 
+def test_executor_keyword_accepts_only_serial():
+    from repro.parallel.executors import make_executor
+
+    framework = PReVer([make_db()], executor=make_executor("serial"))
+    assert framework.submit(make_update(1)).applied
+    with pytest.raises(PReVerError, match="serial"):
+        PReVer([make_db()], executor=object())
+    with pytest.raises(PReVerError, match="process"):
+        make_executor("process")
+
+
 def test_pipeline_reject_does_not_apply_but_still_anchors():
     framework = PReVer([make_db()])
     framework.register_constraint(

@@ -57,8 +57,10 @@ def make_update(i, org, amount):
 def run_sequence(engine_factory, amounts, bound=100):
     """Feed a sequence of updates; returns the accept/reject pattern.
 
-    The engines are *stateful* (they track accepted contributions), so
+    The engines are *stateful* (they track applied contributions), so
     the pattern over a sequence is the meaningful comparison unit.
+    Each accepted update is applied and reported to the engine via
+    ``note_applied``, as the pipeline's apply stage does.
     """
     db = fresh_db()
     engine = engine_factory(db, regulation(bound))
@@ -69,6 +71,7 @@ def run_sequence(engine_factory, amounts, bound=100):
         decisions.append(outcome.accepted)
         if outcome.accepted:
             db.insert("reports", update.payload)
+            engine.note_applied(update, 0.0)
     return decisions
 
 
@@ -98,6 +101,58 @@ def test_every_exact_engine_agrees_with_reference(amounts):
     reference = run_sequence(plaintext_factory, amounts)
     for factory in EXACT_FACTORIES[1:]:
         assert run_sequence(factory, amounts) == reference, factory.__name__
+
+
+# -- only applied contributions count ---------------------------------------
+#
+# Engines keep running state (ciphertext sums, commitments, totals).  A
+# contribution that a later constraint rejects, or whose apply fails,
+# must not count; these streams run through the whole pipeline, where
+# the apply stage commits an engine's proposal via ``note_applied``.
+
+EXACT_ENGINES = ["plaintext", "paillier", "zkp", "enclave"]
+
+
+def pipeline_decisions(engine, constraints, rows, batched):
+    """Accept pattern of ``(id, amount)`` inserts for one org."""
+    from repro.core.contexts import single_private_database
+
+    framework = single_private_database(fresh_db(), constraints,
+                                        engine=engine)
+    updates = [
+        Update(table="reports", operation=UpdateOperation.INSERT,
+               payload={"id": key, "org": "acme", "amount": amount},
+               update_id=f"u-{n}")
+        for n, (key, amount) in enumerate(rows)
+    ]
+    if batched:
+        results = framework.submit_many(updates)
+    else:
+        results = [framework.submit(update) for update in updates]
+    return "".join("1" if r.applied else "0" for r in results)
+
+
+@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize("engine", EXACT_ENGINES)
+def test_duplicate_key_contribution_does_not_count(engine, batched):
+    # (1, 30) fails apply on the duplicate key, so the org total is 60
+    # when (2, 40) arrives and 100 <= 100 accepts it.
+    rows = [(1, 60), (1, 30), (2, 40)]
+    assert pipeline_decisions(engine, [regulation(100)], rows,
+                              batched) == "101"
+
+
+@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize("engine", EXACT_ENGINES)
+def test_contribution_rejected_by_later_constraint_does_not_count(
+        engine, batched):
+    # 70 passes the per-org cap but fails the per-row cap registered
+    # after it, so it never reaches the org total.
+    per_id = upper_bound_regulation("per-id", "reports", "amount", 50,
+                                    ["id"])
+    rows = [(1, 70), (2, 40), (3, 30), (4, 30)]
+    assert pipeline_decisions(engine, [regulation(100), per_id], rows,
+                              batched) == "0111"
 
 
 @pytest.mark.parametrize("factory", EXACT_FACTORIES)

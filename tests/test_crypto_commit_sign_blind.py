@@ -7,7 +7,12 @@ from repro.common.errors import IntegrityError
 from repro.crypto.blind import BlindClient, BlindSignatureError, BlindSigner
 from repro.crypto.commitments import PedersenCommitter
 from repro.crypto.rsa import RSAError, generate_rsa_keypair
-from repro.crypto.signatures import SchnorrSigner, SchnorrVerifier
+from repro.crypto.signatures import (
+    SchnorrSignature,
+    SchnorrSigner,
+    SchnorrVerifier,
+    verify_batch,
+)
 
 
 # -- Pedersen ----------------------------------------------------------------
@@ -85,10 +90,53 @@ def test_sign_structured_object(group):
 def test_signature_commitment_must_be_group_member(group):
     signer = SchnorrSigner(group)
     sig = signer.sign(b"m")
-    from repro.crypto.signatures import SchnorrSignature
-
     forged = SchnorrSignature(commitment=group.p - 1, response=sig.response)
     assert not signer.verifier().verify(b"m", forged)
+
+
+# -- batch Schnorr verification ---------------------------------------------
+
+def test_verify_batch_empty_and_single():
+    assert verify_batch([]) == []
+    signer = SchnorrSigner()
+    signature = signer.sign(b"solo")
+    assert verify_batch([(signer.public_key, b"solo", signature)]) == [True]
+    assert verify_batch([(signer.public_key, b"other", signature)]) == [False]
+
+
+def test_verify_batch_pinpoints_tampered_signature():
+    signers = [SchnorrSigner() for _ in range(6)]
+    items = []
+    for i, signer in enumerate(signers):
+        message = f"msg-{i}".encode()
+        items.append((signer.public_key, message, signer.sign(message)))
+    pk, message, signature = items[3]
+    items[3] = (pk, message, SchnorrSignature(
+        commitment=signature.commitment,
+        response=(signature.response + 1) % signers[3].group.q,
+    ))
+    assert verify_batch(items) == [True, True, True, False, True, True]
+
+
+def test_verify_batch_rejects_non_member_commitment(group):
+    signer = SchnorrSigner(group)
+    good = signer.sign(b"ok")
+    # p - 1 ≡ -1 is a quadratic non-residue mod a safe prime, so it
+    # fails subgroup membership before the combined equation runs.
+    bad = SchnorrSignature(commitment=group.p - 1, response=good.response)
+    verdicts = verify_batch([
+        (signer.public_key, b"ok", good),
+        (signer.public_key, b"ok", bad),
+    ], group=group)
+    assert verdicts == [True, False]
+
+
+def test_verify_batch_matches_per_signature_for_all_bad():
+    signers = [SchnorrSigner() for _ in range(3)]
+    items = [(s.public_key, b"m", s.sign(b"other")) for s in signers]
+    assert verify_batch(items) == [False, False, False]
+    assert [s.verifier().verify(b"m", sig) for s, (_, _, sig)
+            in zip(signers, items)] == [False, False, False]
 
 
 # -- RSA / blind signatures -------------------------------------------------------

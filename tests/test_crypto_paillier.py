@@ -1,8 +1,12 @@
-"""Paillier: correctness and the homomorphic laws."""
+"""Paillier: correctness, the homomorphic laws, and the randomness pool."""
+
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.common.randomness import deterministic_rng
+from repro.crypto.numbers import random_coprime
 from repro.crypto.paillier import (
     PaillierCiphertext,
     PaillierError,
@@ -98,3 +102,41 @@ def test_mismatched_private_key_rejected(paillier):
 def test_distinct_encryptions_differ(paillier):
     pk = paillier.public_key
     assert pk.encrypt(7).value != pk.encrypt(7).value
+
+
+def test_non_coprime_ciphertext_rejected(paillier):
+    # gcd(p, n) = p: the L-function's division by n is undefined, and a
+    # well-formed encryptor can never emit such a value.
+    bogus = PaillierCiphertext(public_key=paillier.public_key,
+                               value=paillier.private_key.p)
+    for decrypt in (paillier.private_key.decrypt,
+                    paillier.private_key.decrypt_signed,
+                    paillier.private_key.decrypt_classic):
+        with pytest.raises(PaillierError, match="coprime"):
+            decrypt(bogus)
+
+
+# -- the precomputed randomness pool ----------------------------------------
+
+def test_public_key_pickles_without_randomness_pool(paillier):
+    key = PaillierPublicKey(paillier.public_key.n)
+    key.precompute_randomness(4, rng=deterministic_rng(3))
+    assert key.randomness_pool_size == 4
+    clone = pickle.loads(pickle.dumps(key))
+    assert clone.n == key.n
+    assert clone.randomness_pool_size == 0  # pools are per-process
+    private_clone = pickle.loads(pickle.dumps(paillier.private_key))
+    assert private_clone.decrypt(clone.encrypt(42)) == 42
+
+
+def test_randomness_pool_drains_fifo_deterministically(paillier):
+    n = paillier.public_key.n
+    n_sq = n * n
+    key = PaillierPublicKey(n)
+    assert key.precompute_randomness(6, rng=deterministic_rng(9)) == 6
+    draws = deterministic_rng(9)
+    expected = [(1 + n * m) * pow(random_coprime(n, rng=draws), n, n_sq)
+                % n_sq for m in range(6)]
+    # Obfuscators come out in the order they were generated.
+    assert [key.encrypt(m).value for m in range(6)] == expected
+    assert key.randomness_pool_size == 0

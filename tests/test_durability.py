@@ -629,3 +629,31 @@ def test_policy_validation():
     assert Durability.wal("/tmp/x").enabled
     assert not Durability.wal("/tmp/x").snapshots_enabled
     assert Durability.wal_with_snapshots("/tmp/x").snapshots_enabled
+
+
+def test_recovered_paillier_aggregate_matches_live(tmp_path):
+    """A duplicate-key insert fails apply, so its contribution must not
+    count — neither in the live framework nor in one rebuilt by WAL
+    replay (which folds in applied updates only)."""
+    def insert(key, co2, update_id):
+        return Update(table="emissions", operation=UpdateOperation.INSERT,
+                      payload={"id": key, "org": "acme", "co2": co2},
+                      update_id=update_id)
+
+    def batch():
+        return [insert(1, 60, "dup-a"), insert(1, 30, "dup-b")]
+
+    live, _ = build("paillier", bound=100)
+    durable, _ = build("paillier", durability=Durability.wal(
+        durable_dir(tmp_path)), bound=100)
+    for framework in (live, durable):
+        results = framework.submit_many(batch())
+        assert [r.applied for r in results] == [True, False]
+    durable.close()
+    recovered, _ = build("paillier", durability=Durability.wal(
+        durable_dir(tmp_path)), bound=100)
+    recovered.recover()
+    # 60 + 40 = 100 <= 100: both accept.
+    assert live.submit(insert(2, 40, "next")).applied
+    assert recovered.submit(insert(2, 40, "next")).applied
+    recovered.close()

