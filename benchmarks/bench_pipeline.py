@@ -6,10 +6,13 @@ observe: plaintext >> enclave > zkp/paillier (crypto dominates), the
 overhead ordering the paper predicts for RC1's technique menu.
 
 Also measures the batched fast path (``submit_many``: constraint
-routing, incremental aggregate cache, one Merkle anchor per batch,
+routing, batch signature checks, one Merkle anchor per batch,
 Paillier offline randomness) against sequential ``submit`` on the same
-update stream, asserting decision/digest equivalence.  With
-``--durability`` it additionally prices the crash-safety layer: the
+update stream, asserting decision/digest equivalence.  ``--preload N``
+adds a steady-state plaintext row: the same comparison on a table
+already holding N rows, gated at most 1.5x slower than the empty table
+for both sequential and batched runs.  Every row records its accept
+ratio.  With ``--durability`` it additionally prices the crash-safety layer: the
 same stream under durability off / wal (group-commit) / wal with an
 fsync per record / wal+snapshot, asserting the ledger root is
 identical in every mode.  ``--shards 1 2 4`` scales the same plaintext
@@ -24,7 +27,8 @@ collapsed stacks).  Batched rows carry per-stage p50/p99 latency.
 Everything is written to ``BENCH_pipeline.json``.  Standalone:
 
     PYTHONPATH=src python benchmarks/bench_pipeline.py [--smoke]
-        [--durability] [--shards N [N ...]] [--profile-out PATH]
+        [--preload N] [--durability] [--shards N [N ...]]
+        [--profile-out PATH]
 """
 
 import argparse
@@ -58,7 +62,10 @@ BATCH_ENGINES = ["plaintext", "paillier"]
 _ids = itertools.count()
 
 
-def build(engine, durability=None):
+def build(engine, durability=None, preload=0):
+    """The single-database framework; with ``preload``, its table
+    already holds that many rows (negative ids, so no stream update
+    collides with them), spread over the stream's eight orgs."""
     db = Database("mgr")
     db.create_table(TableSchema.build(
         "emissions",
@@ -66,6 +73,8 @@ def build(engine, durability=None):
          ("co2", ColumnType.INT)],
         primary_key=["id"],
     ))
+    for j in range(preload):
+        db.insert("emissions", {"id": -1 - j, "org": f"org{j % 8}", "co2": 10})
     regulation = upper_bound_regulation(
         "cap", "emissions", "co2", 10**7, ["org"]
     )
@@ -97,45 +106,85 @@ def make_stream(n):
     ]
 
 
-def compare_batched_vs_sequential(engine, n_updates):
-    """Time the same stream through submit() and submit_many().
+def warm_totals(framework):
+    """Build the tables' per-group totals for every aggregate
+    constraint (one scan each); returns the seconds it took.  A
+    preloaded table pays this once, on its first aggregate check, so
+    steady-state rows report it apart from the throughput."""
+    start = time.perf_counter()
+    for constraint in framework.constraints:
+        if constraint.is_aggregate:
+            constraint.aggregate.evaluate_over(
+                framework.databases, "emissions", {"org": "org0"}, 0.0)
+    return time.perf_counter() - start
 
-    Returns a result dict with both throughputs and the speedup, after
-    asserting the two pipelines agreed on every decision and produced
-    the same ledger digest.
+
+def _timed(fn):
+    """``(fn(), seconds)``.  GC hygiene: collect before the timed
+    section and pause the collector during it, so no path pays for the
+    garbage another produced (the usual timeit/pytest-benchmark
+    discipline)."""
+    gc.collect()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        value = fn()
+        return value, time.perf_counter() - start
+    finally:
+        gc.enable()
+
+
+def compare_batched_vs_sequential(engine, n_updates, preloads=(0,),
+                                  repeats=1):
+    """Time the same stream through submit() and submit_many(), on a
+    table preloaded with each row count in ``preloads``.
+
+    Returns one result dict per preload, with both throughputs and the
+    speedup, after asserting the two pipelines agreed on every decision
+    and produced the same ledger digest.  A preloaded plaintext run
+    builds the table's totals before timing (``totals_build_seconds``),
+    since only its verification reads the table.  ``repeats`` > 1 keeps
+    the fastest of that many runs of each path, on fresh frameworks,
+    alternating the preloads within each round so host drift hits
+    every table size alike.
     """
-    seq_fw, bat_fw = build(engine), build(engine)
-    if engine == "paillier":
-        # Offline phase: bank r^n mod n² obfuscators ahead of time.
-        bat_fw.engine.precompute(n_updates)
+    best = {preload: [float("inf"), float("inf")] for preload in preloads}
+    last = {}
+    for _ in range(repeats):
+        for preload in preloads:
+            seq_fw = build(engine, preload=preload)
+            bat_fw = build(engine, preload=preload)
+            build_seconds = 0.0
+            if engine == "plaintext" and preload:
+                build_seconds = warm_totals(seq_fw)
+                warm_totals(bat_fw)
+            if engine == "paillier":
+                # Offline phase: bank r^n mod n² obfuscators ahead of time.
+                bat_fw.engine.precompute(n_updates)
+            stream = make_stream(n_updates)
+            seq_results, seq_elapsed = _timed(
+                lambda: [seq_fw.submit(u) for u in stream])
+            stream = make_stream(n_updates)
+            bat_results, bat_elapsed = _timed(
+                lambda: bat_fw.submit_many(stream))
+            assert [r.applied for r in seq_results] == \
+                [r.applied for r in bat_results]
+            assert seq_fw.ledger.digest().root == \
+                bat_fw.ledger.digest().root, \
+                "batched anchoring must reproduce the sequential digest"
+            times = best[preload]
+            times[0] = min(times[0], seq_elapsed)
+            times[1] = min(times[1], bat_elapsed)
+            last[preload] = (seq_results, bat_fw, build_seconds)
+    return [_batch_row(engine, n_updates, preload, *best[preload],
+                       *last[preload])
+            for preload in preloads]
 
-    # GC hygiene: collect before each timed section and pause the
-    # collector during it, so neither path pays for the garbage the
-    # other produced (the usual timeit/pytest-benchmark discipline).
-    stream = make_stream(n_updates)
-    gc.collect()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        seq_results = [seq_fw.submit(u) for u in stream]
-        seq_elapsed = time.perf_counter() - start
-    finally:
-        gc.enable()
 
-    stream = make_stream(n_updates)
-    gc.collect()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        bat_results = bat_fw.submit_many(stream)
-        bat_elapsed = time.perf_counter() - start
-    finally:
-        gc.enable()
-
-    assert [r.applied for r in seq_results] == [r.applied for r in bat_results]
-    assert seq_fw.ledger.digest().root == bat_fw.ledger.digest().root, \
-        "batched anchoring must reproduce the sequential digest"
-
+def _batch_row(engine, n_updates, preload, seq_elapsed, bat_elapsed,
+               seq_results, bat_fw, build_seconds):
+    """One artifact row: the best times, with the stage figures of the
+    last batched framework."""
     stages = bat_fw.throughput_report()["stages"]
     stage_totals = {stage: stats["total"] for stage, stats in stages.items()}
     # Per-update latency distribution per stage: the p50/p99 pair the
@@ -150,6 +199,9 @@ def compare_batched_vs_sequential(engine, n_updates):
     return {
         "engine": engine,
         "updates": n_updates,
+        "preload": preload,
+        "accept_ratio": sum(r.accepted for r in seq_results) / n_updates,
+        "totals_build_seconds": build_seconds,
         "sequential_seconds": seq_elapsed,
         "batched_seconds": bat_elapsed,
         "sequential_per_sec": n_updates / seq_elapsed,
@@ -783,11 +835,19 @@ def run_batch_comparison(plaintext_updates=1000, paillier_updates=300,
                          include_profiler=True,
                          profiler_updates=400, profile_out="",
                          include_encoding=True, encoding_payloads=2000,
-                         encoding_updates=600):
+                         encoding_updates=600, preload=0):
     results = []
     for engine in BATCH_ENGINES:
         n = plaintext_updates if engine == "plaintext" else paillier_updates
-        results.append(compare_batched_vs_sequential(engine, n))
+        if not (preload and engine == "plaintext"):
+            results += compare_batched_vs_sequential(engine, n)
+            continue
+        # The steady-state pair (only plaintext verification reads the
+        # table; the Paillier engine keeps its own ciphertext
+        # aggregates): best of five, empty and preloaded alternating,
+        # because single short runs are too noisy for a 1.5x gate.
+        results += compare_batched_vs_sequential(engine, n, (0, preload),
+                                                 repeats=5)
     durability = []
     if include_durability:
         durability = compare_durability(n_updates=durability_updates)
@@ -808,7 +868,9 @@ def run_batch_comparison(plaintext_updates=1000, paillier_updates=300,
     artifact = {
         "experiment": "E1-batched",
         "description": "batched (submit_many) vs sequential (submit) "
-                       "Figure-2 pipeline throughput, plus the fast-math "
+                       "Figure-2 pipeline throughput, on an empty table "
+                       "and (preload > 0) on a preloaded one, plus the "
+                       "fast-math "
                        "backend and "
                        "exponentiation kernels (fixed-base, multi-exp) "
                        "against builtin pow, plus the durability "
@@ -836,7 +898,8 @@ def run_batch_comparison(plaintext_updates=1000, paillier_updates=300,
 def batch_rows(artifact):
     return [
         [
-            r["engine"], r["updates"],
+            r["engine"], r["updates"], r["preload"],
+            f"{r['accept_ratio']:.2f}",
             f"{r['sequential_per_sec']:.0f}/s",
             f"{r['batched_per_sec']:.0f}/s",
             f"{r['speedup']:.1f}x",
@@ -854,8 +917,9 @@ def _latency_cell(result, quantile):
     return f"{stats[quantile] * 1e3:.3f}ms" if stats else "-"
 
 
-BATCH_HEADERS = ["engine", "updates", "sequential", "batched", "speedup",
-                 "verify-share", "verify-p50", "verify-p99"]
+BATCH_HEADERS = ["engine", "updates", "preload", "accept", "sequential",
+                 "batched", "speedup", "verify-share", "verify-p50",
+                 "verify-p99"]
 
 
 def print_profiler_table(artifact):
@@ -1108,9 +1172,15 @@ def main(argv=None):
     parser.add_argument("--encoding-updates", type=int, default=600,
                         help="stream length for the encode-once "
                              "end-to-end row")
+    parser.add_argument("--preload", type=int, default=0, metavar="N",
+                        help="also run the plaintext batched-vs-sequential "
+                             "row on a table preloaded with N rows, gated "
+                             "at most 1.5x slower than the empty table")
     parser.add_argument("--smoke", action="store_true",
                         help="small streams; assert batched is not slower")
     args = parser.parse_args(argv)
+    if args.preload < 0:
+        parser.error("--preload must be non-negative")
     if args.updates <= 0 or args.paillier_updates <= 0 \
             or args.durability_updates <= 0 or args.sharded_updates <= 0 \
             or args.backend_updates <= 0 or args.profiler_updates <= 0 \
@@ -1148,6 +1218,7 @@ def main(argv=None):
         include_encoding=not args.no_encoding,
         encoding_payloads=args.encoding_payloads,
         encoding_updates=args.encoding_updates,
+        preload=args.preload,
     )
     print_table(
         "E1-batched: submit_many vs submit",
@@ -1175,6 +1246,19 @@ def main(argv=None):
                 f"batched path slower than sequential for "
                 f"{result['engine']} ({result['speedup']:.2f}x)"
             )
+        if not result["preload"]:
+            continue
+        # Steady state: verify must not slow down as the table grows.
+        empty = next(r for r in artifact["results"]
+                     if r["engine"] == result["engine"] and not r["preload"])
+        for mode in ("sequential", "batched"):
+            slowdown = empty[f"{mode}_per_sec"] / result[f"{mode}_per_sec"]
+            if slowdown > 1.5:
+                raise SystemExit(
+                    f"{result['engine']} {mode} throughput with "
+                    f"{result['preload']} preloaded rows is "
+                    f"{slowdown:.2f}x below the empty table (1.5x bar)"
+                )
     backends = artifact.get("backends") or {}
     for kernel in backends.get("kernels", []):
         # The fixed-base gate: even the pure-python table must beat the

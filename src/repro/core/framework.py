@@ -187,21 +187,6 @@ class PReVer:
             if authority.name not in self._authorities:
                 self._authorities[authority.name] = authority
         self.constraints.append(constraint)
-        self.invalidate_routing()
-
-    def invalidate_routing(self) -> None:
-        """Force a routing-index rebuild on the next routed check.
-
-        Usually unnecessary: the router re-syncs itself whenever the
-        ``constraints`` list's content fingerprint moves — appends,
-        removals, reorders, in-place replacement of an entry, or an
-        entry's ``tables`` scope changing are all detected
-        automatically.  Call this only after a mutation the
-        fingerprint deliberately ignores needs to drop memoized
-        per-table sublists anyway (it never does today: bounds,
-        predicates, and windows are re-read on every check).
-        """
-        self._router.rebuild(())
 
     def _routed_constraints(self, table: str) -> List[Constraint]:
         # ``constraints`` is a public list some callers mutate
@@ -236,10 +221,11 @@ class PReVer:
         Decision-equivalent to submitting the updates one at a time in
         order — same accept/reject outcomes, same applied rows, same
         ledger sequence numbers, digests and inclusion proofs — but
-        with three amortizations: the constraint routing index replaces
-        per-update linear scans, an incremental aggregate cache
-        replaces per-update table re-scans, and the ledger's Merkle
-        tree is extended once per batch instead of once per decision.
+        with the signatures checked in one batch verification and the
+        ledger's Merkle tree extended once per batch instead of once
+        per decision.  Aggregate checks cost the same either way: they
+        read the tables' running per-group totals, which each apply
+        keeps exact.
         Replication is a :class:`~repro.core.replicated.ReplicatedShard`
         over replica frameworks, each replaying the decided batches
         through this method.

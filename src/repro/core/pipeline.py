@@ -13,9 +13,9 @@ There is one way in: a single update is a batch of one, so
     constraint routing through the table index (plaintext engine only
     — plugged-in engines route internally).
 ``VerifyStage``
-    constraint/regulation verification; ``run_batch`` drives the
-    engine's ``begin_batch`` hook and the framework-level
-    :class:`BatchAggregateCache`.
+    constraint/regulation verification.  It keeps no batch state:
+    aggregate checks read the tables' running per-group totals, which
+    every apply keeps exact.
 ``DurabilityStage``
     log-before-apply WAL records per update, and the batch's anchor
     marker + group-commit fsync (``commit``).
@@ -30,9 +30,9 @@ There is one way in: a single update is a batch of one, so
 :class:`Pipeline` owns the stage sequence and the batch driver the
 framework delegates to.  Decisions, ledger digests, inclusion proofs
 and WAL bytes are pinned by ``tests/test_pipeline_stages.py``, and the
-batch walk preserves the per-update verify→log→apply interleaving that
-stateful aggregate caches depend on — only auth and anchoring are
-batch-amortized.
+batch walk preserves the per-update verify→log→apply interleaving, so
+each update is verified against every earlier update of its batch —
+only auth and anchoring are batch-amortized.
 """
 
 from dataclasses import dataclass, field
@@ -40,7 +40,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.common.encoding import RawJson, encode_canonical
 from repro.core.outcome import UpdateResult, VerificationOutcome
-from repro.core.routing import BatchAggregateCache, check_constraint
 from repro.crypto.group import SchnorrGroup
 from repro.crypto.signatures import cached_verifier, verify_batch
 from repro.database.schema import SchemaError
@@ -74,7 +73,6 @@ class UpdateContext:
     applied: bool = False
     halted: bool = False
     routed: Optional[List[Constraint]] = None
-    batch_cache: Optional[BatchAggregateCache] = None
     mark: float = 0.0
     sequence: Optional[int] = None
 
@@ -90,10 +88,10 @@ class Stage:
     """One pipeline stage.
 
     ``run_one`` advances a single :class:`UpdateContext`;
-    ``run_batch`` is the batch-amortized variant and defaults to a
-    pass (stages without a batch precomputation do their work per
-    update inside the driver's walk).  Stages hold no per-update
-    state — everything flows through the context.
+    ``run_batch`` is the batch-amortized precomputation and defaults
+    to a pass (stages without one do their work per update inside the
+    driver's walk).  Stages hold no per-update state — everything
+    flows through the context.
     """
 
     name = "stage"
@@ -107,9 +105,6 @@ class Stage:
 
     def run_batch(self, ctxs: Sequence[UpdateContext]) -> None:
         """Batch precomputation hook; the default has none."""
-
-    def finish_batch(self, ctxs: Sequence[UpdateContext]) -> None:
-        """Batch finalizer hook, run even when the walk raised."""
 
 
 class AuthStage(Stage):
@@ -251,35 +246,13 @@ class VerifyStage(Stage):
     def _check_routed(self, ctx: UpdateContext) -> VerificationOutcome:
         fw = self.framework
         for constraint in ctx.routed:
-            if not check_constraint(constraint, fw.databases, ctx.update,
-                                    ctx.now, cache=ctx.batch_cache):
+            if not constraint.check(fw.databases, ctx.update, ctx.now):
                 return VerificationOutcome(
                     accepted=False,
                     engine="framework-plaintext",
                     failed_constraint=constraint.constraint_id,
                 )
         return VerificationOutcome(accepted=True, engine="framework-plaintext")
-
-    def run_batch(self, ctxs: Sequence[UpdateContext]) -> None:
-        """Arm the batch: the framework-level aggregate cache (plaintext
-        path) or the engine's ``begin_batch`` hook (engines maintain
-        their own caches via ``note_applied``)."""
-        fw = self.framework
-        engine = fw.engine
-        if engine is None:
-            cache = BatchAggregateCache(fw.databases)
-            for ctx in ctxs:
-                ctx.batch_cache = cache
-            return
-        if hasattr(engine, "begin_batch"):
-            engine.begin_batch(len(ctxs))
-
-    def finish_batch(self, ctxs: Sequence[UpdateContext]) -> None:
-        """Release the engine's batch state (runs even on a crash
-        mid-walk, so a failed batch never leaks cache entries)."""
-        engine = self.framework.engine
-        if engine is not None and hasattr(engine, "end_batch"):
-            engine.end_batch()
 
 
 class DurabilityStage(Stage):
@@ -386,8 +359,6 @@ class ApplyStage(Stage):
             trace.child("apply", start_time=ctx.mark).end(t_apply)
         ctx.mark = t_apply
         ctx.applied = True
-        if ctx.batch_cache is not None:
-            ctx.batch_cache.note_applied(update)
         if fw.engine is not None and hasattr(fw.engine, "note_applied"):
             fw.engine.note_applied(update, ctx.now)
         if fw._crash_after is not None:
@@ -461,10 +432,10 @@ class AnchorStage(Stage):
 class Pipeline:
     """The stage sequence and its batch driver.
 
-    ``run_decided_batch`` arms the batch-amortized stages (batch auth,
-    engine batch hooks), walks each update through the per-update
-    sequence — preserving the verify→log→apply interleaving stateful
-    aggregate caches require — and anchors once.
+    ``run_decided_batch`` runs batch auth, walks each update through
+    the per-update sequence — preserving the verify→log→apply
+    interleaving, so each update sees the rows of the updates before
+    it — and anchors once.
     """
 
     def __init__(self, framework):
@@ -490,18 +461,12 @@ class Pipeline:
         prof = fw.profiler
         if prof is None:
             self.auth.run_batch(ctxs)
-            self.verify.run_batch(ctxs)
         else:
             with prof.stage("auth_batch"):
                 self.auth.run_batch(ctxs)
-            with prof.stage("prepare_batch"):
-                self.verify.run_batch(ctxs)
-        try:
-            for ctx in ctxs:
-                self._begin(ctx)
-                self._walk(ctx, prof)
-        finally:
-            self.verify.finish_batch(ctxs)
+        for ctx in ctxs:
+            self._begin(ctx)
+            self._walk(ctx, prof)
         if prof is None:
             self.anchor.run_batch(ctxs)
         else:

@@ -1,35 +1,18 @@
-"""Constraint routing and batch-scoped aggregate caching.
+"""Constraint routing: the table → applicable-constraints index.
 
-Two pieces of the batched fast path live here:
-
-* :class:`ConstraintRouter` — a table → applicable-constraints index.
-  The sequential pipeline scans every registered constraint per update;
-  with many table-scoped constraints that linear scan dominates.  The
-  router materializes, per table, the ordered sublist of constraints
-  that can possibly apply (constraints with no ``tables`` scope apply
-  everywhere), so verification touches only relevant ones.
-
-* :class:`BatchAggregateCache` — incremental aggregate state for one
-  batch.  The reference semantics of an aggregate constraint re-scan
-  the table on every check (``AggregateSpec.evaluate_over``), which
-  makes a k-update batch cost O(k·rows).  Within a single batch no
-  writer other than the pipeline itself touches the databases, so the
-  cache evaluates each (constraint, table, group) once and then folds
-  in the contributions of the updates the pipeline itself applies —
-  O(rows + k) total, with *identical* decisions.
-
-The cache is deliberately conservative: it only handles non-windowed
-aggregates (a sliding window can silently expire rows between checks
-under a wall clock), and any MODIFY/DELETE apply clears it, because
-those can change or remove rows that earlier cached totals counted.
-Everything else falls back to ``Constraint.check``.
+:class:`ConstraintRouter` — the sequential pipeline would scan every
+registered constraint per update; with many table-scoped constraints
+that linear scan dominates.  The router materializes, per table, the
+ordered sublist of constraints that can possibly apply (constraints
+with no ``tables`` scope apply everywhere), so verification touches
+only relevant ones.  Aggregate checks themselves need no batch state:
+each table keeps exact per-group totals
+(:meth:`~repro.database.table.Table.group_total`).
 """
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
-from repro.database.expr import Env
 from repro.model.constraints import Constraint
-from repro.model.update import UpdateOperation
 
 
 class ConstraintRouter:
@@ -88,94 +71,25 @@ class ConstraintRouter:
         return routed
 
 
-class BatchAggregateCache:
-    """Per-batch incremental aggregate totals.
-
-    ``current(constraint, update, now)`` returns what
-    ``constraint.aggregate.evaluate_over(...)`` would return, scanning
-    the databases only on the first check of each
-    (constraint, table, group); afterwards :meth:`note_applied` keeps
-    the totals in step with the rows the batch itself inserts.
-    """
-
-    def __init__(self, databases: Sequence):
-        self._databases = list(databases)
-        # (constraint_id, table, group) -> running aggregate total
-        self._totals: Dict[Tuple[str, str, tuple], float] = {}
-        # constraint_id -> constraint, for fold-in on apply
-        self._constraints: Dict[str, Constraint] = {}
-
-    @staticmethod
-    def eligible(constraint: Constraint) -> bool:
-        """Cacheable: aggregate, no sliding window."""
-        return constraint.is_aggregate and constraint.aggregate.window is None
-
-    @staticmethod
-    def _group_of(constraint: Constraint, payload: dict) -> tuple:
-        return tuple(
-            payload.get(col) for col in constraint.aggregate.match_columns
-        )
-
-    def current(self, constraint: Constraint, update, now: float) -> float:
-        """Running aggregate total for the update's group, scanning
-        the databases only on the first check of that group."""
-        group = self._group_of(constraint, update.payload)
-        key = (constraint.constraint_id, update.table, group)
-        total = self._totals.get(key)
-        if total is None:
-            total = constraint.aggregate.evaluate_over(
-                self._databases, update.table, update.payload, now
-            )
-            self._totals[key] = total
-            self._constraints[constraint.constraint_id] = constraint
-        return total
-
-    def note_applied(self, update) -> None:
-        """Fold an applied update's row into the cached totals."""
-        if update.operation is not UpdateOperation.INSERT:
-            # A MODIFY/DELETE may alter rows already counted; drop all
-            # cached state rather than track deltas for arbitrary rows.
-            self._totals.clear()
-            return
-        row = update.payload
-        for constraint in self._constraints.values():
-            aggregate = constraint.aggregate
-            group = self._group_of(constraint, row)
-            key = (constraint.constraint_id, update.table, group)
-            if key not in self._totals:
-                continue
-            if aggregate.filter is not None and not bool(
-                aggregate.filter.evaluate(Env(row=row))
-            ):
-                continue
-            if aggregate.func.upper() == "COUNT":
-                self._totals[key] += 1.0
-            else:
-                value = row.get(aggregate.column)
-                if value is not None:
-                    self._totals[key] += float(value)
-
-    def clear(self) -> None:
-        """Drop every cached total and constraint reference."""
-        self._totals.clear()
-        self._constraints.clear()
+# -- retired names ------------------------------------------------------------
+#
+# ``perfbench/tracing.py`` wraps these two by name in its traced runs.
+# Nothing in the program calls them: verification is
+# ``Constraint.check`` over the tables' running totals.  Delete them
+# once the benchmark stops naming them.
 
 
-def check_constraint(
-    constraint: Constraint,
-    databases: Sequence,
-    update,
-    now: float,
-    cache: Optional[BatchAggregateCache] = None,
-) -> bool:
-    """``Constraint.check`` with an optional batch-cache fast path.
-
-    Decision-equivalent to the reference semantics: the cached path
-    computes the same ``current + contribution <comparison> bound``
-    test, only sourcing ``current`` incrementally.
-    """
-    if cache is not None and BatchAggregateCache.eligible(constraint):
-        current = cache.current(constraint, update, now)
-        proposed = current + constraint.aggregate.contribution_of(update.payload)
-        return constraint.comparison.apply(proposed, float(constraint.bound))
+def check_constraint(constraint: Constraint, databases: Sequence, update,
+                     now: float) -> bool:
+    """``constraint.check(databases, update, now)``."""
     return constraint.check(databases, update, now)
+
+
+class BatchAggregateCache:
+    """Retired: the tables keep exact per-group totals instead."""
+
+    def current(self, *args):
+        """Retired: always raises (use ``Constraint.check``)."""
+        raise NotImplementedError("use Constraint.check")
+
+    note_applied = current

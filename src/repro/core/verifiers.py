@@ -31,11 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.common.errors import PReVerError, PrivacyError
 from repro.common.metrics import MetricsRegistry
 from repro.core.outcome import VerificationOutcome
-from repro.core.routing import (
-    BatchAggregateCache,
-    ConstraintRouter,
-    check_constraint,
-)
+from repro.core.routing import ConstraintRouter
 from repro.crypto.commitments import PedersenCommitter
 from repro.crypto.paillier import PaillierKeyPair, generate_paillier_keypair
 from repro.crypto import zkp
@@ -106,25 +102,20 @@ class BaseVerifier:
         every constraint accepts."""
         self._pending = None
         writes: list = []
+        record = self.metrics.timer(timer).record
+        clock = perf_counter  # direct timing; timed() costs ~2us per check
         for constraint in self.constraints_for(update):
-            with self.metrics.timed(timer):
-                ok = check(constraint, update, writes)
+            start = clock()
+            ok = check(constraint, update, writes)
+            record(clock() - start)
             if not ok:
                 return self._outcome(False, failed=constraint.constraint_id)
         self._pending = (update, writes)
         return self._outcome(True)
 
-    # -- batch lifecycle hooks (no-ops by default) -----------------------
-    #
-    # ``PReVer.submit_many`` brackets a batch with begin/end and calls
-    # ``note_applied`` after each successful database apply, so engines
-    # keep state only for updates that were actually incorporated.
-
-    def begin_batch(self, expected: int = 0) -> None:
-        pass
-
-    def end_batch(self) -> None:
-        pass
+    # The apply stage calls ``note_applied`` after each successful
+    # database apply, so engines keep state only for updates that were
+    # actually incorporated.
 
     def note_applied(self, update: Update, now: float) -> None:
         """Commit the state writes :meth:`verify` proposed for
@@ -159,6 +150,33 @@ class BaseVerifier:
         state during WAL replay (the decision is already made; no
         verification or transcript observation happens here)."""
 
+    @staticmethod
+    def _dump_groups(states: Dict[str, Dict[tuple, object]], fields) -> dict:
+        """Per-constraint, per-group state in snapshot form:
+        ``{constraint_id: [[group, *fields(value)], ...]}``, groups in
+        a stable order."""
+        return {
+            constraint_id: [
+                [list(group), *fields(value)]
+                for group, value in sorted(groups.items(),
+                                           key=lambda item: repr(item[0]))
+            ]
+            for constraint_id, groups in states.items()
+        }
+
+    @staticmethod
+    def _load_groups(dumped: dict, states: Dict[str, Dict[tuple, object]],
+                     value) -> None:
+        """Inverse of :meth:`_dump_groups`, rebuilding each entry as
+        ``value(*fields)``; an unknown constraint id fails closed."""
+        for constraint_id, rows in dumped.items():
+            if constraint_id not in states:
+                raise EngineError(
+                    f"snapshot names unknown constraint {constraint_id!r}"
+                )
+            for group, *fields in rows:
+                states[constraint_id][tuple(group)] = value(*fields)
+
     def _outcome(self, accepted: bool, failed: Optional[str] = None,
                  **evidence) -> VerificationOutcome:
         self._verifications.add()
@@ -181,30 +199,13 @@ class PlaintextVerifier(BaseVerifier):
                  metrics: Optional[MetricsRegistry] = None):
         super().__init__(constraints, metrics)
         self.databases = list(databases)
-        self._batch_cache: Optional[BatchAggregateCache] = None
-
-    def begin_batch(self, expected: int = 0) -> None:
-        self._batch_cache = BatchAggregateCache(self.databases)
-
-    def end_batch(self) -> None:
-        self._batch_cache = None
-
-    def note_applied(self, update: Update, now: float) -> None:
-        if self._batch_cache is not None:
-            self._batch_cache.note_applied(update)
 
     def verify(self, update: Update, now: float) -> VerificationOutcome:
         self._observe(dict(update.payload))  # the baseline leaks everything
-        timer = self.metrics.timer("plaintext.check")
-        clock = perf_counter  # direct timing; timed() costs ~2us per check
-        for constraint in self.constraints_for(update):
-            start = clock()
-            ok = check_constraint(constraint, self.databases, update, now,
-                                  cache=self._batch_cache)
-            timer.record(clock() - start)
-            if not ok:
-                return self._outcome(False, failed=constraint.constraint_id)
-        return self._outcome(True)
+        return self._decide(
+            update, lambda constraint, update, writes: constraint.check(
+                self.databases, update, now),
+            "plaintext.check")
 
 
 class PaillierVerifier(BaseVerifier):
@@ -251,11 +252,6 @@ class PaillierVerifier(BaseVerifier):
             c.constraint_id: {} for c in self.constraints
         }
 
-    def _group_key(self, constraint: Constraint, update: Update) -> tuple:
-        return tuple(
-            update.payload.get(col) for col in constraint.aggregate.match_columns
-        )
-
     def _encrypt_contribution(self, constraint: Constraint, update: Update):
         contribution = constraint.aggregate.contribution_of(update.payload)
         fixed = int(round(contribution * self.scale))
@@ -274,7 +270,7 @@ class PaillierVerifier(BaseVerifier):
 
     def _check_one(self, constraint: Constraint, update: Update,
                    writes: list) -> bool:
-        group = self._group_key(constraint, update)
+        group = constraint.aggregate.group_of(update.payload)
         tracing = self.tracer.enabled
         if tracing:
             with self.tracer.span("paillier.encrypt",
@@ -305,9 +301,6 @@ class PaillierVerifier(BaseVerifier):
             writes.append((aggregates, group, proposed))
         return accepted
 
-    def apply_to_store(self, update: Update) -> None:
-        """Hook for contexts that also maintain an encrypted table."""
-
     # -- durability hooks --------------------------------------------------
 
     def durable_state(self) -> dict:
@@ -322,15 +315,9 @@ class PaillierVerifier(BaseVerifier):
         return {
             "n": self.keypair.public_key.n,
             "scale": self.scale,
-            "aggregates": {
-                constraint_id: [
-                    [list(group), ciphertext.value]
-                    for group, ciphertext in sorted(
-                        groups.items(), key=lambda item: repr(item[0])
-                    )
-                ]
-                for constraint_id, groups in self._cipher_aggregates.items()
-            },
+            "aggregates": self._dump_groups(
+                self._cipher_aggregates, lambda ciphertext: [ciphertext.value]
+            ),
         }
 
     def restore_durable_state(self, state: Optional[dict]) -> None:
@@ -346,15 +333,8 @@ class PaillierVerifier(BaseVerifier):
         if state["scale"] != self.scale:
             raise EngineError("snapshot fixed-point scale mismatch")
         public_key = self.keypair.public_key
-        for constraint_id, pairs in state["aggregates"].items():
-            if constraint_id not in self._cipher_aggregates:
-                raise EngineError(
-                    f"snapshot aggregates name unknown constraint "
-                    f"{constraint_id!r}"
-                )
-            aggregates = self._cipher_aggregates[constraint_id]
-            for group, value in pairs:
-                aggregates[tuple(group)] = PaillierCiphertext(public_key, value)
+        self._load_groups(state["aggregates"], self._cipher_aggregates,
+                          lambda value: PaillierCiphertext(public_key, value))
 
     def replay_applied(self, update: Update, now: float) -> None:
         """Fold a replayed update into the running aggregates.
@@ -365,7 +345,7 @@ class PaillierVerifier(BaseVerifier):
         ciphertext randomness changes nothing observable.
         """
         for constraint in self.constraints_for(update):
-            group = self._group_key(constraint, update)
+            group = constraint.aggregate.group_of(update.payload)
             ciphertext, _ = self._encrypt_contribution(constraint, update)
             aggregates = self._cipher_aggregates[constraint.constraint_id]
             current = aggregates.get(group)
@@ -439,9 +419,7 @@ class ZKPVerifier(BaseVerifier):
 
     def _check_one(self, constraint: Constraint, update: Update,
                    writes: list) -> bool:
-        group = tuple(
-            update.payload.get(col) for col in constraint.aggregate.match_columns
-        )
+        group = constraint.aggregate.group_of(update.payload)
         contribution = int(constraint.aggregate.contribution_of(update.payload))
         if contribution < 0:
             # No range proof exists for it: reject, fail-closed.
@@ -485,6 +463,39 @@ class ZKPVerifier(BaseVerifier):
             writes.append((secrets, group, (new_total, randomness)))
         return accepted
 
+    # -- durability hooks --------------------------------------------------
+
+    def durable_state(self) -> dict:
+        """The owner-side running total and commitment randomness per
+        group.  The totals count only what this engine accepted, so
+        they do not derive from the databases; the manager's
+        commitments derive from them."""
+        return {"groups": self._dump_groups(self._secret_state, list)}
+
+    def restore_durable_state(self, state: Optional[dict]) -> None:
+        """Rebuild totals and commitments from :meth:`durable_state`."""
+        if state is None:
+            return
+        self._load_groups(state["groups"], self._secret_state,
+                          lambda total, randomness: (total, randomness))
+        for constraint_id, secrets in self._secret_state.items():
+            for group, (total, randomness) in secrets.items():
+                self._commitments[constraint_id][group] = \
+                    self.committer.commit_with(total, randomness)
+
+    def replay_applied(self, update: Update, now: float) -> None:
+        """Fold a replayed update into the running totals under a fresh
+        commitment (no proof: the decision is already anchored)."""
+        for constraint in self.constraints_for(update):
+            aggregate = constraint.aggregate
+            group = aggregate.group_of(update.payload)
+            secrets = self._secret_state[constraint.constraint_id]
+            total = (secrets.get(group, (0, 0))[0]
+                     + int(aggregate.contribution_of(update.payload)))
+            commitment, randomness = self.committer.commit(total)
+            self._commitments[constraint.constraint_id][group] = commitment
+            secrets[group] = (total, randomness)
+
 
 class EnclaveVerifier(BaseVerifier):
     """RC1 via hardware-protected computation (simulated enclave)."""
@@ -508,14 +519,14 @@ class EnclaveVerifier(BaseVerifier):
 
     def verify(self, update: Update, now: float) -> VerificationOutcome:
         with self.metrics.timed("enclave.check"):
-            decision, measurement = self.enclave.verify_update(
+            failed, measurement = self.enclave.first_failure(
                 self.databases, update, now
             )
         if measurement != self.expected_measurement:
             raise PrivacyError("enclave attestation mismatch")
-        self._observe(("decision", decision))
-        if not decision:
-            return self._outcome(False, failed=self.constraints[0].constraint_id)
+        self._observe(("decision", failed is None))
+        if failed is not None:
+            return self._outcome(False, failed=failed)
         return self._outcome(True, attestation=measurement)
 
 
@@ -552,9 +563,7 @@ class DPIndexVerifier(BaseVerifier):
 
     def verify(self, update: Update, now: float) -> VerificationOutcome:
         constraint = self.constraints[0]
-        group = tuple(
-            update.payload.get(col) for col in constraint.aggregate.match_columns
-        )
+        group = constraint.aggregate.group_of(update.payload)
         contribution = constraint.aggregate.contribution_of(update.payload)
         self._since_refresh += 1
         if self._since_refresh >= self.refresh_every or group not in self._noisy_totals:

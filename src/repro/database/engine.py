@@ -12,7 +12,7 @@ from repro.common.errors import PReVerError
 from repro.database.expr import Env, Expr
 from repro.database.log import LogOp, TransactionLog
 from repro.database.schema import TableSchema
-from repro.database.table import Table
+from repro.database.table import Table, reduce_aggregate
 
 
 class DatabaseError(PReVerError):
@@ -137,26 +137,8 @@ class Database:
         for row in self.table(table_name).scan(predicate):
             key = tuple(row.get(c) for c in group_columns)
             groups.setdefault(key, []).append(row)
-        func = agg_func.upper()
-        out: Dict[Tuple, Any] = {}
-        for key, rows in groups.items():
-            if func == "COUNT":
-                out[key] = len(rows)
-                continue
-            values = [
-                r.get(agg_column) for r in rows if r.get(agg_column) is not None
-            ]
-            if func == "SUM":
-                out[key] = sum(values) if values else 0
-            elif func == "AVG":
-                out[key] = sum(values) / len(values) if values else None
-            elif func == "MIN":
-                out[key] = min(values) if values else None
-            elif func == "MAX":
-                out[key] = max(values) if values else None
-            else:
-                raise DatabaseError(f"unknown aggregate {agg_func!r}")
-        return out
+        return {key: reduce_aggregate(agg_func, rows, agg_column)
+                for key, rows in groups.items()}
 
     def join(
         self,

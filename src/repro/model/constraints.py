@@ -27,6 +27,7 @@ from repro.common.errors import ConstraintViolation
 from repro.common.ids import make_id
 from repro.common.serialization import canonical_bytes
 from repro.database.expr import Env, Expr, linearize
+from repro.database.table import FLOAT_EXACT
 
 
 class ConstraintKind(enum.Enum):
@@ -84,6 +85,15 @@ class AggregateSpec:
     match_columns: Sequence[str] = field(default_factory=tuple)
     window: Optional[WindowSpec] = None
 
+    def __post_init__(self):
+        # A tuple keeps the spec hashable, so tables can key its
+        # running totals by it.
+        object.__setattr__(self, "match_columns", tuple(self.match_columns))
+
+    def group_of(self, update_payload: Dict[str, Any]) -> tuple:
+        """The update's group: its values of ``match_columns``."""
+        return tuple(update_payload.get(c) for c in self.match_columns)
+
     def contribution_of(self, update_payload: Dict[str, Any]) -> float:
         """The update's own contribution to the aggregate."""
         if self.func.upper() == "COUNT":
@@ -99,6 +109,33 @@ class AggregateSpec:
         now: float,
     ) -> float:
         """Sum the aggregate across all databases (regulation scope).
+
+        A non-windowed spec reads each table's exact running total for
+        the update's group (:meth:`Table.group_total`), visiting no
+        rows; the value equals :meth:`scan_over`'s.  Windowed specs,
+        and specs a table does not keep, take :meth:`scan_over`.
+        """
+        if self.window is None:
+            group = self.group_of(update_payload)
+            limit = FLOAT_EXACT // max(1, len(databases))
+            total = 0
+            for database in databases:
+                part = database.table(table).group_total(self, group, limit)
+                if part is None:
+                    return self.scan_over(databases, table, update_payload,
+                                          now)
+                total += part
+            return float(total)
+        return self.scan_over(databases, table, update_payload, now)
+
+    def scan_over(
+        self,
+        databases: Sequence,
+        table: str,
+        update_payload: Dict[str, Any],
+        now: float,
+    ) -> float:
+        """The reference aggregate: visit the rows of every database.
 
         When the aggregate is windowed and the table carries a range
         index on the window's time column, only the in-window rows are

@@ -80,10 +80,18 @@ class TrustedEnclaveSimulator:
     # -- evaluation ------------------------------------------------------------
 
     def verify_update(self, databases, update, now: float) -> Tuple[bool, str]:
-        """ECALL: evaluate all constraints; returns (decision, attestation).
+        """ECALL: evaluate the constraints; returns (decision, attestation).
 
         The host's entire view is the boolean + the measurement hash.
         """
+        failed, measurement = self.first_failure(databases, update, now)
+        return failed is None, measurement
+
+    def first_failure(self, databases, update,
+                      now: float) -> Tuple[Optional[str], str]:
+        """ECALL: evaluate, in provisioning order, the constraints
+        scoped to the update's table (unscoped ones apply everywhere);
+        returns (id of the first that fails, or None; attestation)."""
         self.ecalls += 1
         self.clock.advance(self.ecall_overhead)
         key = (update.table, tuple(update.key) if update.key else None)
@@ -93,11 +101,12 @@ class TrustedEnclaveSimulator:
             self._touch(key)
             self._resident[key] = {}
             self._evict_if_needed()
-        decision = all(
-            constraint.check(databases, update, now)
-            for constraint in self._constraints
-        )
-        return decision, self.measurement
+        for constraint in self._constraints:
+            if constraint.tables and update.table not in constraint.tables:
+                continue
+            if not constraint.check(databases, update, now):
+                return constraint.constraint_id, self.measurement
+        return None, self.measurement
 
     # -- the privacy boundary -----------------------------------------------------
 

@@ -155,6 +155,41 @@ def test_contribution_rejected_by_later_constraint_does_not_count(
                               batched) == "0111"
 
 
+def two_table_db():
+    db = Database("mgr")
+    for name in ("a", "b"):
+        db.create_table(TableSchema.build(
+            name,
+            [("id", ColumnType.INT), ("org", ColumnType.TEXT),
+             ("amount", ColumnType.INT)],
+            primary_key=["id"],
+        ))
+    return db
+
+
+@pytest.mark.parametrize("engine", EXACT_ENGINES)
+def test_constraints_apply_only_to_their_tables(engine):
+    """A constraint scoped to table ``a`` never judges an insert into
+    ``b``, and a rejection names the constraint that failed."""
+    cap_a = upper_bound_regulation("cap-a", "a", "amount", 100, ["org"])
+    cap_b = upper_bound_regulation("cap-b", "b", "amount", 1000, ["org"])
+    cap_a.constraint_id, cap_b.constraint_id = "cst-a", "cst-b"
+
+    def insert_into_b(constraints, amount):
+        from repro.core.contexts import single_private_database
+
+        framework = single_private_database(two_table_db(), constraints,
+                                            engine=engine)
+        return framework.submit(Update(
+            table="b", operation=UpdateOperation.INSERT,
+            payload={"id": 1, "org": "x", "amount": amount}))
+
+    assert insert_into_b([cap_a], 500).applied
+    rejected = insert_into_b([cap_a, cap_b], 5000)
+    assert not rejected.accepted
+    assert rejected.outcome.failed_constraint == "cst-b"
+
+
 @pytest.mark.parametrize("factory", EXACT_FACTORIES)
 def test_boundary_exact(factory):
     # 60 + 40 == 100 <= 100 accepted; the next 1 is rejected.

@@ -657,3 +657,34 @@ def test_recovered_paillier_aggregate_matches_live(tmp_path):
     assert live.submit(insert(2, 40, "next")).applied
     assert recovered.submit(insert(2, 40, "next")).applied
     recovered.close()
+
+
+@pytest.mark.parametrize("snapshots", [False, True])
+def test_recovered_zkp_totals_match_live(tmp_path, snapshots):
+    """The ZKP engine's running totals count only what it accepted, so
+    they cannot be re-derived from the rows; recovery must bring them
+    back from the snapshot (``durable_state``) or from WAL replay
+    (``replay_applied``)."""
+    def durability():
+        if snapshots:
+            return Durability.wal_with_snapshots(durable_dir(tmp_path),
+                                                 snapshot_every=1)
+        return Durability.wal(durable_dir(tmp_path))
+
+    live, _ = build("zkp", bound=100)
+    durable, _ = build("zkp", durability=durability(), bound=100)
+    for framework in (live, durable):
+        assert framework.submit(make_update(1, co2=90)).applied
+    durable.close()
+    recovered, _ = build("zkp", durability=durability(), bound=100)
+    report = recovered.recover()
+    if snapshots:
+        assert report.snapshot_lsn is not None
+        assert report.replayed_updates == 0
+    else:
+        assert report.replayed_updates == 1
+    # 90 + 50 > 100: the live framework rejects, so must the recovered.
+    assert not live.submit(make_update(2, co2=50)).applied
+    assert not recovered.submit(make_update(2, co2=50)).applied
+    assert recovered.submit(make_update(3, co2=10)).applied
+    recovered.close()
